@@ -23,7 +23,6 @@ from .core import (
     SolverConfig,
     SortedInstance,
     SwapEvent,
-    SwapOutcome,
     TraverseOutcome,
     apply_swap,
     find_best_swap,
@@ -33,7 +32,6 @@ from .core import (
     recompute_sums,
     run_traverse,
     solve,
-    swap_new_diff,
     traverse_guard,
 )
 from .oracle import (
@@ -44,6 +42,7 @@ from .oracle import (
     exact_min_diff_unconstrained,
     local_optima_set,
     oracle_result,
+    pairswap_witness,
     reference_local_search,
 )
 from .reductions import (

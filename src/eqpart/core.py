@@ -22,10 +22,8 @@ import itertools
 import math
 import random
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Optional
-
-import numpy as np
 
 # Exact-integer guard: every |x| and sum(|x|) must stay below this so that
 # d - 2a + 2b arithmetic stays inside machine-integer range everywhere.
@@ -42,12 +40,6 @@ class InitStrategy(enum.Enum):
     SPLIT_HALF = "split"
     RANDOM = "random"
     GREEDY = "greedy"
-
-
-class SwapOutcome(enum.Enum):
-    UNCHANGED = "unchanged"
-    FLIPPED = "flipped"
-    ZERO = "zero"
 
 
 class TraverseOutcome(enum.Enum):
@@ -172,7 +164,7 @@ class SwapEvent:
     partner: int
     d_before: float | int
     d_after: float | int
-    outcome: SwapOutcome
+    outcome: TraverseOutcome
 
 
 @dataclass
@@ -202,11 +194,27 @@ class PartitionState:
     def set2_indices(self) -> tuple:
         return tuple(i for i, m in enumerate(self.in_set1) if not m)
 
+    @classmethod
+    def from_membership(
+        cls, values: tuple, in_set1: list, mode: Mode, zero_tolerance: float = 0.0
+    ) -> "PartitionState":
+        """State for side 1 = the indices marked in in_set1, with exact sums."""
+        s1, s2 = _side_sums(values, in_set1, mode)
+        card1 = sum(in_set1)
+        return cls(
+            values=values,
+            in_set1=in_set1,
+            s1=s1,
+            s2=s2,
+            d=s1 - s2,
+            card1=card1,
+            card2=len(values) - card1,
+            mode=mode,
+            zero_tolerance=zero_tolerance,
+        )
+
     def is_zero(self) -> bool:
         return abs(self.d) <= self.zero_tolerance if self.mode is Mode.FLOAT64 else self.d == 0
-
-    def copy(self) -> "PartitionState":
-        return replace(self, in_set1=list(self.in_set1))
 
 
 @dataclass(frozen=True)
@@ -249,6 +257,13 @@ def _sum_values(values, mode: Mode):
     if mode is Mode.EXACT_INT:
         return sum(values)
     return math.fsum(values)
+
+
+def _side_sums(values, in_set1, mode: Mode):
+    """Exact (s1, s2) of the sides marked by in_set1."""
+    s1 = _sum_values((x for x, m in zip(values, in_set1) if m), mode)
+    s2 = _sum_values((x for x, m in zip(values, in_set1) if not m), mode)
+    return s1, s2
 
 
 def normalize_and_sort(instance: Instance) -> SortedInstance:
@@ -325,38 +340,21 @@ def init_partition(
         card1 = n // 2
     elif not 1 <= card1 <= n - 1:
         raise InvalidCardinalityError(f"cardinality {card1} out of range 1..{n - 1}")
-    in_set1 = _initial_membership(si, cfg, card1)
-    s1 = _sum_values((x for x, m in zip(si.sorted_values, in_set1) if m), si.mode)
-    s2 = _sum_values((x for x, m in zip(si.sorted_values, in_set1) if not m), si.mode)
-    return PartitionState(
-        values=si.sorted_values,
-        in_set1=in_set1,
-        s1=s1,
-        s2=s2,
-        d=s1 - s2,
-        card1=card1,
-        card2=n - card1,
-        mode=si.mode,
-        zero_tolerance=cfg.float_tolerance if si.mode is Mode.FLOAT64 else 0.0,
+    return PartitionState.from_membership(
+        si.sorted_values,
+        _initial_membership(si, cfg, card1),
+        si.mode,
+        cfg.float_tolerance if si.mode is Mode.FLOAT64 else 0.0,
     )
 
 
-def swap_new_diff(state: PartitionState, a_idx: int, b_idx: int):
-    """|d| after exchanging sorted indices a_idx and b_idx, without mutating.
-
-    One index must be in each side; either argument order is accepted.
-    """
-    if state.in_set1[a_idx] == state.in_set1[b_idx]:
-        raise ContractViolationError(
-            f"indices {a_idx} and {b_idx} are in the same side"
-        )
-    if not state.in_set1[a_idx]:
-        a_idx, b_idx = b_idx, a_idx
-    return abs(state.d - 2 * state.values[a_idx] + 2 * state.values[b_idx])
-
-
 def _pair_diff(state: PartitionState, cursor: int, partner: int):
-    """Signed d after swapping cursor/partner (opposite sides, unchecked)."""
+    """Signed d after swapping cursor/partner (opposite sides, unchecked).
+
+    Evaluated left to right as d - 2*x_a + 2*x_b, x_a the side-1 value: the
+    one formula for a post-swap difference, shared by the partner scan, the
+    swap itself and the local-optimality check, so all three round alike.
+    """
     if state.in_set1[cursor]:
         return state.d - 2 * state.values[cursor] + 2 * state.values[partner]
     return state.d - 2 * state.values[partner] + 2 * state.values[cursor]
@@ -458,11 +456,12 @@ def find_best_swap(
     return None
 
 
-def apply_swap(state: PartitionState, n: int, partner: int) -> SwapOutcome:
+def apply_swap(state: PartitionState, n: int, partner: int) -> TraverseOutcome:
     """Exchange memberships of n and partner and update sums incrementally.
 
-    Classifies the new difference: ZERO when it vanished (within the float
-    tolerance), FLIPPED when the sign strictly crossed, UNCHANGED otherwise.
+    Classifies the new difference as the sweep's outcome so far:
+    ZERO_REACHED when it vanished (within the float tolerance), SIGN_FLIPPED
+    when the sign strictly crossed, COMPLETED (the sweep may go on) otherwise.
     """
     if state.in_set1[n] == state.in_set1[partner]:
         raise ContractViolationError(f"indices {n} and {partner} are in the same side")
@@ -471,14 +470,14 @@ def apply_swap(state: PartitionState, n: int, partner: int) -> SwapOutcome:
     old_d = state.d
     state.s1 = state.s1 - xa + xb
     state.s2 = state.s2 - xb + xa
-    state.d = state.d - 2 * xa + 2 * xb
+    state.d = _pair_diff(state, a, b)
     state.in_set1[a] = False
     state.in_set1[b] = True
     if state.is_zero():
-        return SwapOutcome.ZERO
+        return TraverseOutcome.ZERO_REACHED
     if (old_d > 0) != (state.d > 0):
-        return SwapOutcome.FLIPPED
-    return SwapOutcome.UNCHANGED
+        return TraverseOutcome.SIGN_FLIPPED
+    return TraverseOutcome.COMPLETED
 
 
 def recompute_sums(state: PartitionState) -> PartitionState:
@@ -488,8 +487,7 @@ def recompute_sums(state: PartitionState) -> PartitionState:
     Exact mode instead asserts the maintained values are already identical;
     a mismatch means a bug, not input trouble.
     """
-    s1 = _sum_values((x for x, m in zip(state.values, state.in_set1) if m), state.mode)
-    s2 = _sum_values((x for x, m in zip(state.values, state.in_set1) if not m), state.mode)
+    s1, s2 = _side_sums(state.values, state.in_set1, state.mode)
     if state.mode is Mode.EXACT_INT and (s1, s2) != (state.s1, state.s2):
         raise InternalConsistencyError(
             f"maintained sums ({state.s1}, {state.s2}) != recomputed ({s1}, {s2})"
@@ -537,16 +535,13 @@ def run_traverse(
         partner, _ = hit
         floor = max(floor, partner)
         d_before = state.d
-        swap_outcome = apply_swap(state, n, partner)
+        outcome = apply_swap(state, n, partner)
         metrics.swaps += 1
         if trace is not None:
-            trace.append(SwapEvent(n, partner, d_before, state.d, swap_outcome))
-        if swap_outcome is SwapOutcome.ZERO:
-            outcome = TraverseOutcome.ZERO_REACHED
-            break
-        if swap_outcome is SwapOutcome.FLIPPED:
+            trace.append(SwapEvent(n, partner, d_before, state.d, outcome))
+        if outcome is TraverseOutcome.SIGN_FLIPPED:
             metrics.sign_changes += 1
-            outcome = TraverseOutcome.SIGN_FLIPPED
+        if outcome is not TraverseOutcome.COMPLETED:
             break
     this_traverse = metrics.candidate_evaluations - evals_before
     if this_traverse > metrics.max_traverse_evaluations:
@@ -607,28 +602,32 @@ def solve(
 def is_locally_optimal_pairswap(
     state: PartitionState, tolerance: float = 0.0
 ) -> LocalOptCheck:
-    """Exhaustive O(N^2) check over all cross-side pairs.
+    """True iff no cross-side swap drops |d| below |d| - tolerance.
 
-    True iff no swap drops |d| below |d| - tolerance.  On failure the
-    witness is one violating (side1_index, side2_index) pair.  The float
-    path runs the same all-pairs check vectorized row by row.
+    On failure the witness is one violating (side1_index, side2_index) pair.
+    Linear after sorting each side by value (already sorted for solver
+    states, which timsort sees in one pass).
+
+    For a side-1 element a, the post-swap difference _pair_diff(state, a, b)
+    = (d - 2*x_a) + 2*x_b is monotone nondecreasing in x_b, float rounding
+    included: it is one rounded addition of 2*x_b to a constant, and
+    rounding is monotone.  So over side 2 in ascending order |d'| falls
+    until d' crosses zero and rises after it, and only the two partners
+    around the crossing (the last with d' < 0 and the first with d' >= 0)
+    can be a's best swap.  As x_a grows, d - 2*x_a can only shrink, so every
+    d' can only shrink and the crossing only moves right: one pointer over
+    side 2 serves all of side 1.  oracle.pairswap_witness is the all-pairs
+    reference this must agree with.
     """
-    abs_d = abs(state.d)
-    set1 = state.set1_indices()
-    set2 = state.set2_indices()
-    if state.mode is Mode.FLOAT64 and len(set1) > 64 and len(set2) > 0:
-        d = float(state.d)
-        vals = np.asarray(state.values, dtype=np.float64)
-        b = 2.0 * vals[np.asarray(set2, dtype=np.intp)]
-        threshold = abs_d - tolerance
-        for a_idx in set1:
-            row = np.abs(d - 2.0 * vals[a_idx] + b)
-            pos = int(np.argmin(row))
-            if row[pos] < threshold:
-                return LocalOptCheck(False, (a_idx, set2[pos]))
-        return LocalOptCheck(True)
-    for a_idx in set1:
-        for b_idx in set2:
-            if swap_new_diff(state, a_idx, b_idx) < abs_d - tolerance:
-                return LocalOptCheck(False, (a_idx, b_idx))
+    key = state.values.__getitem__
+    side1 = sorted(state.set1_indices(), key=key)
+    side2 = sorted(state.set2_indices(), key=key)
+    threshold = abs(state.d) - tolerance
+    p = 0
+    for a in side1:
+        while p < len(side2) and _pair_diff(state, a, side2[p]) < 0:
+            p += 1
+        for b in side2[max(p - 1, 0):p + 1]:
+            if abs(_pair_diff(state, a, b)) < threshold:
+                return LocalOptCheck(False, (a, b))
     return LocalOptCheck(True)

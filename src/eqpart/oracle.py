@@ -1,7 +1,10 @@
 """Exhaustive ground-truth solvers for small instances.
 
-Everything here enumerates; nothing shares logic with the production solver,
-so these routines serve as the independent check of its output.  The
+Everything here enumerates or scans all pairs.  The only logic shared with
+the production solver is setup: the sort, the initial partition and the
+state constructor (PartitionState.from_membership, with its exact sums).
+The searches, swap differences and local-optimality tests are written out
+again here, so these routines serve as the independent check of its output.  The
 equal-cardinality enumeration caps at N = 24 (C(24,12)/2 is about 1.35M
 bipartitions) and refuses larger inputs outright.
 """
@@ -22,10 +25,8 @@ from .core import (
     PartitionState,
     SolveReport,
     SolverConfig,
-    SortedInstance,
     _sum_values,
     init_partition,
-    is_locally_optimal_pairswap,
     normalize_and_sort,
 )
 
@@ -53,26 +54,18 @@ def _check_enumerable(n: int) -> None:
         )
 
 
-def _state_for(si: SortedInstance, set1: tuple, tolerance: float = 0.0) -> PartitionState:
-    n = len(si)
-    in_set1 = [False] * n
-    for i in set1:
-        in_set1[i] = True
-    s1 = _sum_values((si.sorted_values[i] for i in set1), si.mode)
-    s2 = _sum_values(
-        (x for i, x in enumerate(si.sorted_values) if not in_set1[i]), si.mode
-    )
-    return PartitionState(
-        values=si.sorted_values,
-        in_set1=in_set1,
-        s1=s1,
-        s2=s2,
-        d=s1 - s2,
-        card1=len(set1),
-        card2=n - len(set1),
-        mode=si.mode,
-        zero_tolerance=tolerance,
-    )
+def pairswap_witness(state: PartitionState, tolerance: float = 0.0):
+    """First (side1_index, side2_index) pair, in index order, whose swap drops
+    |d| below |d| - tolerance; None if the state is pair-swap locally optimal.
+
+    The all-pairs O(N^2) reference for core.is_locally_optimal_pairswap.
+    """
+    abs_d = abs(state.d)
+    for a in state.set1_indices():
+        for b in state.set2_indices():
+            if abs(state.d - 2 * state.values[a] + 2 * state.values[b]) < abs_d - tolerance:
+                return a, b
+    return None
 
 
 def enumerate_equal_partitions(instance: Instance) -> Iterator[PartitionState]:
@@ -84,7 +77,10 @@ def enumerate_equal_partitions(instance: Instance) -> Iterator[PartitionState]:
     _check_enumerable(n)
     si = normalize_and_sort(instance)
     for rest in combinations(range(1, n), n // 2 - 1):
-        yield _state_for(si, (0,) + rest)
+        in_set1 = [False] * n
+        for i in (0,) + rest:
+            in_set1[i] = True
+        yield PartitionState.from_membership(si.sorted_values, in_set1, si.mode)
 
 
 def exact_min_diff(instance: Instance):
@@ -97,7 +93,7 @@ def local_optima_set(instance: Instance, tolerance: float = 0.0) -> tuple:
     vals = {
         abs(s.d)
         for s in enumerate_equal_partitions(instance)
-        if is_locally_optimal_pairswap(s, tolerance)
+        if pairswap_witness(s, tolerance) is None
     }
     return tuple(sorted(vals))
 
@@ -111,7 +107,7 @@ def oracle_result(instance: Instance) -> OracleResult:
         obj = abs(s.d)
         if best is None or obj < best:
             best = obj
-        if is_locally_optimal_pairswap(s):
+        if pairswap_witness(s) is None:
             optima.add(obj)
     return OracleResult(
         exact_min=best,

@@ -117,9 +117,6 @@ def solve_with_cardinality(
     adapt: SPLIT_HALF takes the first k sorted elements, ALTERNATING spreads
     k slots round-robin at ratio k:(N-k), GREEDY and RANDOM respect the caps.
     """
-    n = len(instance)
-    if not 1 <= k <= n - 1:
-        raise InvalidCardinalityError(f"cardinality {k} out of range 1..{n - 1}")
     return solve(instance, cfg, card1=k)
 
 

@@ -1,11 +1,9 @@
 """Shared test helpers."""
 
-import math
-
 import pytest
 
 from eqpart import bench
-from eqpart.core import Instance, Mode, PartitionState, normalize_and_sort
+from eqpart.core import Instance, PartitionState, normalize_and_sort
 
 
 def make_state(values, set1, mode=None, tolerance=0.0):
@@ -14,23 +12,7 @@ def make_state(values, set1, mode=None, tolerance=0.0):
     si = normalize_and_sort(inst)
     assert si.sorted_values == inst.values, "make_state expects sorted input"
     in_set1 = [i in set1 for i in range(len(values))]
-    if inst.mode is Mode.EXACT_INT:
-        s1 = sum(v for v, m in zip(values, in_set1) if m)
-        s2 = sum(v for v, m in zip(values, in_set1) if not m)
-    else:
-        s1 = math.fsum(v for v, m in zip(values, in_set1) if m)
-        s2 = math.fsum(v for v, m in zip(values, in_set1) if not m)
-    return PartitionState(
-        values=inst.values,
-        in_set1=in_set1,
-        s1=s1,
-        s2=s2,
-        d=s1 - s2,
-        card1=len(set1),
-        card2=len(values) - len(set1),
-        mode=inst.mode,
-        zero_tolerance=tolerance,
-    )
+    return PartitionState.from_membership(inst.values, in_set1, inst.mode, tolerance)
 
 
 @pytest.fixture

@@ -19,7 +19,7 @@ from eqpart.core import (
     Instance,
     Mode,
     SolverConfig,
-    SwapOutcome,
+    TraverseOutcome,
     is_locally_optimal_pairswap,
     solve,
     traverse_guard,
@@ -210,7 +210,7 @@ def test_criterion_7_sign_change_magnitude():
         report = solve(inst, cfg_for(strategy, seed=i))
         xs = report.sorted_instance.sorted_values
         for e in report.trace:
-            if e.outcome is SwapOutcome.FLIPPED:
+            if e.outcome is TraverseOutcome.SIGN_FLIPPED:
                 checked += 1
                 if abs(e.d_after) > xs[e.partner + 1] - xs[e.partner]:
                     bad += 1

@@ -1,6 +1,7 @@
 """Tests for input parsing and the command-line surface."""
 
 import json
+import random
 from collections import Counter
 
 import pytest
@@ -121,6 +122,19 @@ def test_json_schema_and_round_trip(capsys, monkeypatch):
     assert set(payload["metrics"]) == {
         "traverses", "swaps", "sign_changes", "candidate_evaluations", "wall_time_ns",
     }
+
+
+def test_verify_is_linear_at_large_n(capsys, monkeypatch):
+    # 2^17 values: an all-pairs check would take about 20 minutes, the merge well under a second
+    rng = random.Random(17)
+    values = [rng.randint(-10**9, 10**9) for _ in range(1 << 17)]
+    code, out, _ = run_cli(
+        capsys, ["solve", "--verify", "--format", "json"], " ".join(map(str, values)), monkeypatch
+    )
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["verified"] is True
+    assert Counter(payload["set1"]) + Counter(payload["set2"]) == Counter(values)
 
 
 def test_json_solve_traditional(capsys, monkeypatch):

@@ -16,9 +16,10 @@ from eqpart.core import (
     Metrics,
     Mode,
     OverflowGuardError,
+    PartitionState,
     SolverConfig,
-    SwapOutcome,
     TraverseOutcome,
+    _pair_diff,
     apply_swap,
     find_best_swap,
     init_partition,
@@ -27,10 +28,9 @@ from eqpart.core import (
     recompute_sums,
     run_traverse,
     solve,
-    swap_new_diff,
     traverse_guard,
 )
-from eqpart.oracle import exact_min_diff, local_optima_set
+from eqpart.oracle import exact_min_diff, local_optima_set, pairswap_witness
 from conftest import make_state
 
 ALL_STRATEGIES = [
@@ -145,32 +145,25 @@ def test_init_consistency(values, strategy_idx):
     assert st_.d == st_.s1 - st_.s2
 
 
-# ------------------------------------------------------------- swap_new_diff
+# ---------------------------------------------------------------- _pair_diff
 
 
-def test_swap_new_diff_examples():
-    # d=8 with side 1 = {3, 8} on {1,2,3,8}: swap 8 with 2 gives 4
+def test_pair_diff_examples():
+    # d=8 with side 1 = {3, 8} on {1,2,3,8}: swap 8 with 2 gives d=-4
     state = make_state([1, 2, 3, 8], {2, 3})
     assert state.d == 8
-    assert swap_new_diff(state, 3, 1) == 4
-    assert swap_new_diff(state, 1, 3) == 4  # symmetric argument order
+    assert _pair_diff(state, 3, 1) == -4
+    assert _pair_diff(state, 1, 3) == -4  # cursor on either side
 
     # equal values: unchanged
     state = make_state([5, 5], {0})
-    assert swap_new_diff(state, 0, 1) == abs(state.d) == 0
+    assert _pair_diff(state, 0, 1) == state.d == 0
 
-    # alternating start on {1,2,3,8}: swap values 2 and 1 gives 4
+    # alternating start on {1,2,3,8}: swap values 1 and 2 gives d=-4
     state = make_state([1, 2, 3, 8], {0, 2})
     assert state.d == -6
-    assert swap_new_diff(state, 0, 1) == 4
-
-
-def test_swap_new_diff_same_side_rejected():
-    state = make_state([1, 2, 3, 8], {0, 2})
-    with pytest.raises(ContractViolationError):
-        swap_new_diff(state, 0, 2)
-    with pytest.raises(ContractViolationError):
-        swap_new_diff(state, 1, 3)
+    assert _pair_diff(state, 0, 1) == -4
+    assert _pair_diff(state, 1, 0) == -4
 
 
 # ------------------------------------------------------------ find_best_swap
@@ -256,7 +249,7 @@ def test_run_traverse_tie_group_below_floor():
 
 def test_apply_swap_unchanged():
     state = make_state([1, 2, 3, 8], {0, 2})
-    assert apply_swap(state, 1, 0) is SwapOutcome.UNCHANGED
+    assert apply_swap(state, 1, 0) is TraverseOutcome.COMPLETED
     assert state.d == -4
     assert state.in_set1 == [False, True, True, False]
     recompute_sums(state)  # exact mode: must agree bit for bit
@@ -265,14 +258,14 @@ def test_apply_swap_unchanged():
 def test_apply_swap_zero():
     state = make_state([1, 2, 3, 4], {0, 2})
     assert state.d == -2
-    assert apply_swap(state, 1, 0) is SwapOutcome.ZERO
+    assert apply_swap(state, 1, 0) is TraverseOutcome.ZERO_REACHED
     assert state.d == 0
 
 
 def test_apply_swap_flipped_float():
     state = make_state([0.0, 0.1, 0.2, 2.9], {2, 3})
     assert state.d == pytest.approx(3.0)
-    assert apply_swap(state, 3, 0) is SwapOutcome.FLIPPED
+    assert apply_swap(state, 3, 0) is TraverseOutcome.SIGN_FLIPPED
     assert state.d == pytest.approx(-2.8)
 
 
@@ -363,7 +356,7 @@ def test_pairswap_check_examples():
     chk = is_locally_optimal_pairswap(state)
     assert not chk
     a, b = chk.witness
-    assert swap_new_diff(state, a, b) < 8
+    assert abs(_pair_diff(state, a, b)) < 8
 
     state = make_state([5, 5, 5, 5], {0, 1})  # d = 0
     assert is_locally_optimal_pairswap(state)
@@ -371,24 +364,60 @@ def test_pairswap_check_examples():
     state = make_state([1, 2, 3, 8], {1, 2})  # |d| = 4
     assert is_locally_optimal_pairswap(state)
 
-
-def test_pairswap_check_float_vectorized_matches_loop():
-    rng = random.Random(5)
-    values = sorted(rng.random() for _ in range(200))
-    set1 = set(rng.sample(range(200), 100))
-    state = make_state(values, set1, mode=Mode.FLOAT64)
-    vec = is_locally_optimal_pairswap(state)
-    # plain loop reference
-    abs_d = abs(state.d)
-    loop = all(
-        swap_new_diff(state, a, b) >= abs_d
-        for a in state.set1_indices()
-        for b in state.set2_indices()
+    # values out of order: side 1 holds 0, 4, 1; only the 1 (met after the 4
+    # in index order) has an improving partner, a 0 on side 2
+    state = PartitionState.from_membership(
+        (0, 0, 1, 1, 4, 1), [True, False, False, False, True, True], Mode.EXACT_INT
     )
-    assert bool(vec) == loop
-    if not vec:
-        a, b = vec.witness
-        assert swap_new_diff(state, a, b) < abs_d
+    chk = is_locally_optimal_pairswap(state)  # d = 3
+    assert not chk
+    assert chk.witness[0] == 5 and abs(_pair_diff(state, *chk.witness)) == 1
+
+
+def _pairswap_states():
+    """(state, tolerance) over the families where a merge could slip: ints
+    with negatives and duplicates, decimal-duplicate floats (rounding ties),
+    sides longer than 64, pinned side-1 sizes, solved and random
+    memberships, values in sorted or shuffled order, and tolerances above
+    zero."""
+    ints = st.lists(st.integers(-50, 50), min_size=2, max_size=160)
+    floats = st.lists(
+        st.sampled_from([0.1, 0.2, 0.3, 1e-9, 7.0, -0.3, 2.5]), min_size=2, max_size=160
+    )
+
+    @st.composite
+    def build(draw):
+        values = sorted(draw(st.one_of(ints, floats)))
+        mode = Mode.FLOAT64 if isinstance(values[0], float) else Mode.EXACT_INT
+        n = len(values)
+        k = draw(st.integers(1, n - 1))
+        tolerance = draw(st.sampled_from([0.0, 1e-12, 1e-3, 0.25]))
+        set1 = set(draw(st.permutations(range(n)))[:k])
+        if draw(st.booleans()):
+            try:
+                r = solve(Instance(tuple(values), mode), SolverConfig(), card1=k)
+                set1 = set(r.partition.set1_indices())
+            except InternalConsistencyError:
+                pass  # a float guard trip leaves the random membership
+        order = draw(st.permutations(range(n))) if draw(st.booleans()) else range(n)
+        state = PartitionState.from_membership(
+            tuple(values[i] for i in order), [i in set1 for i in order], mode
+        )
+        return state, tolerance
+
+    return build()
+
+
+@given(_pairswap_states())
+@settings(max_examples=400, deadline=None)
+def test_pairswap_check_matches_all_pairs_reference(case):
+    state, tolerance = case
+    chk = is_locally_optimal_pairswap(state, tolerance)
+    assert bool(chk) == (pairswap_witness(state, tolerance) is None)
+    if not chk:
+        a, b = chk.witness
+        assert state.in_set1[a] and not state.in_set1[b]
+        assert abs(_pair_diff(state, a, b)) < abs(state.d) - tolerance
 
 
 # -------------------------------------------------------------- recompute_sums
