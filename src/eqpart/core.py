@@ -20,6 +20,7 @@ import bisect
 import enum
 import itertools
 import math
+import operator
 import random
 import time
 from dataclasses import dataclass
@@ -77,8 +78,14 @@ class Instance:
     mode: Mode
 
     def __post_init__(self):
+        # Bulk checks first; the loops only run to name the first bad value.
+        values = self.values
         if self.mode is Mode.EXACT_INT:
-            for x in self.values:
+            if set(map(type, values)) <= {int} and (
+                not values or -SUM_GUARD < min(values) <= max(values) < SUM_GUARD
+            ):
+                return
+            for x in values:
                 if not isinstance(x, int) or isinstance(x, bool):
                     raise OverflowGuardError(
                         f"exact-integer mode requires int values, got {x!r}"
@@ -86,13 +93,16 @@ class Instance:
                 if abs(x) >= SUM_GUARD:
                     raise OverflowGuardError(f"|{x}| exceeds the 2^62 guard")
         else:
-            vals = []
-            for x in self.values:
-                f = float(x)
-                if not math.isfinite(f):
-                    raise ValueError(f"non-finite value {x!r}")
-                vals.append(f)
-            object.__setattr__(self, "values", tuple(vals))
+            try:
+                floats = tuple(map(float, values))
+                finite = all(map(math.isfinite, floats))
+            except (TypeError, ValueError, OverflowError):
+                finite = False
+            if not finite:
+                for x in values:
+                    if not math.isfinite(float(x)):
+                        raise ValueError(f"non-finite value {x!r}")
+            object.__setattr__(self, "values", floats)
 
     @staticmethod
     def from_values(values, mode: Optional[Mode] = None) -> "Instance":
@@ -189,10 +199,11 @@ class PartitionState:
     zero_tolerance: float = 0.0
 
     def set1_indices(self) -> tuple:
-        return tuple(i for i, m in enumerate(self.in_set1) if m)
+        return tuple(itertools.compress(range(len(self.in_set1)), self.in_set1))
 
     def set2_indices(self) -> tuple:
-        return tuple(i for i, m in enumerate(self.in_set1) if not m)
+        m = self.in_set1
+        return tuple(itertools.filterfalse(m.__getitem__, range(len(m))))
 
     @classmethod
     def from_membership(
@@ -261,24 +272,26 @@ def _sum_values(values, mode: Mode):
 
 def _side_sums(values, in_set1, mode: Mode):
     """Exact (s1, s2) of the sides marked by in_set1."""
-    s1 = _sum_values((x for x, m in zip(values, in_set1) if m), mode)
-    s2 = _sum_values((x for x, m in zip(values, in_set1) if not m), mode)
+    s1 = _sum_values(itertools.compress(values, in_set1), mode)
+    s2 = _sum_values(itertools.compress(values, map(operator.not_, in_set1)), mode)
     return s1, s2
 
 
 def normalize_and_sort(instance: Instance) -> SortedInstance:
     """Ascending stable sort; ties keep ascending original index."""
-    if len(instance) == 0:
-        raise ValueError("instance is empty")
+    values = instance.values
+    if len(values) == 0:
+        raise InvalidCardinalityError("instance is empty")
     if instance.mode is Mode.EXACT_INT:
-        total = sum(abs(x) for x in instance.values)
+        total = sum(map(abs, values))
         if total >= SUM_GUARD:
             raise OverflowGuardError(
                 f"sum of |values| = {total} exceeds the 2^62 guard"
             )
-    order = sorted(range(len(instance)), key=instance.values.__getitem__)
+    order = sorted(range(len(values)), key=values.__getitem__)
     return SortedInstance(
-        sorted_values=tuple(instance.values[i] for i in order),
+        # one C-level gather; itemgetter returns a bare value for one index
+        sorted_values=operator.itemgetter(*order)(values) if len(order) > 1 else tuple(values),
         perm=tuple(order),
         mode=instance.mode,
     )
@@ -584,8 +597,11 @@ def solve(
     maintained_d = state.d
     recompute_sums(state)
     drift = abs(maintained_d - state.d) if si.mode is Mode.FLOAT64 else 0.0
-    set1 = tuple(sorted(si.perm[i] for i in state.set1_indices()))
-    set2 = tuple(sorted(si.perm[i] for i in state.set2_indices()))
+    member = [False] * len(si)  # side 1 scattered back to input order
+    for i in itertools.compress(si.perm, state.in_set1):
+        member[i] = True
+    set1 = tuple(itertools.compress(range(len(si)), member))
+    set2 = tuple(itertools.filterfalse(member.__getitem__, range(len(si))))
     metrics.wall_time_ns = time.perf_counter_ns() - t0
     return SolveReport(
         partition=state,

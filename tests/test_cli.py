@@ -1,13 +1,16 @@
 """Tests for input parsing and the command-line surface."""
 
 import json
+import math
 import random
+import re
 from collections import Counter
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from eqpart.cli import InputFormatError, main, parse_input
-from eqpart.core import Mode
+from eqpart.core import SUM_GUARD, Instance, Mode
 
 
 # ------------------------------------------------------------------- parsing
@@ -56,6 +59,81 @@ def test_parse_integer_overflow():
 
 def test_parse_negative_and_signed():
     assert parse_input(b"-3 +4").values == (-3, 4)
+
+
+_INT_TOKEN = re.compile(r"[+-]?\d+")
+_FLOAT_TOKEN = re.compile(r"[+-]?(\d+\.?\d*|\.\d+)([eE][+-]?\d+)?")
+
+
+def reference_parse_input(data: bytes, mode: Mode | None = None) -> Instance:
+    """The per-line tokenizer parse_input replaced, kept as the reference."""
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise InputFormatError(f"input is not valid UTF-8: {exc}") from exc
+    tokens = []
+    for ln, line in enumerate(text.splitlines(), start=1):
+        stripped = line.lstrip()
+        if not stripped or stripped.startswith("#"):
+            continue
+        for m in re.finditer(r"[^\s,]+", line):
+            tokens.append((m.group(), ln, m.start() + 1))
+    if not tokens:
+        raise InputFormatError("empty input: no numbers found")
+    if mode is None:
+        all_int = all(_INT_TOKEN.fullmatch(tok) for tok, _, _ in tokens)
+        mode = Mode.EXACT_INT if all_int else Mode.FLOAT64
+    values = []
+    for tok, ln, col in tokens:
+        if mode is Mode.EXACT_INT:
+            if not _INT_TOKEN.fullmatch(tok):
+                raise InputFormatError(
+                    f"line {ln}, column {col}: {tok!r} is not an integer"
+                )
+            v = int(tok)
+            if abs(v) >= SUM_GUARD:
+                raise InputFormatError(
+                    f"line {ln}, column {col}: {tok!r} exceeds the 2^62 integer guard"
+                )
+        else:
+            if not _FLOAT_TOKEN.fullmatch(tok):
+                raise InputFormatError(f"line {ln}, column {col}: {tok!r} is not a number")
+            v = float(tok)
+            if not math.isfinite(v):
+                raise InputFormatError(f"line {ln}, column {col}: {tok!r} is not finite")
+        values.append(v)
+    return Instance(tuple(values), mode)
+
+
+def _parse_outcome(parse, data, mode):
+    try:
+        inst = parse(data, mode)
+    except Exception as exc:
+        return type(exc), str(exc)
+    return inst.mode, [(type(v), repr(v)) for v in inst.values]
+
+
+_GUARD_EDGES = [str(v) for v in (SUM_GUARD - 1, -(SUM_GUARD - 1), SUM_GUARD, -SUM_GUARD)]
+_PARSE_PIECES = st.sampled_from([
+    "0", "7", "-3", "+4", "-0", "1_0", "2.5", ".5", "5.", "-0.0", "1e3", "2E-2", "1e+5",
+    "1e999", "-1e999", "1e-400", "inf", "nan", "x", "+", "-", ".", "e", "\u0663", "\uff15",
+    "\u0661\u0662", "\u0663.\u0665", "\u00b2", *_GUARD_EDGES, "9" * 25, "8" * 4301,
+    " ", "  ", "\t", ",", ", ", "\n", "\r\n", "\x0b", "\x1c", "\x85", "\u2028", "\xa0",
+    "\n# a comment, 1.5 x\n", "\n   # indented comment\n", "#", " #7 ",
+])
+_BAD_UTF8 = st.sampled_from([b"", b"", b"", b"\xff", b"\xc3", b"\xe2\x80", b"\x80"])
+
+
+@given(st.lists(_PARSE_PIECES, max_size=14), _BAD_UTF8, st.integers(0, 14),
+       st.sampled_from([None, Mode.EXACT_INT, Mode.FLOAT64]))
+@settings(max_examples=400, deadline=None)
+def test_parse_matches_line_scan_reference(pieces, bad, at, mode):
+    # values (with their types), mode, or exception type and message all agree
+    data = "".join(pieces).encode()
+    data = data[:at] + bad + data[at:]
+    assert _parse_outcome(parse_input, data, mode) == _parse_outcome(
+        reference_parse_input, data, mode
+    )
 
 
 # ----------------------------------------------------------------- CLI runs

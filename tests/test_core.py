@@ -1,5 +1,6 @@
 """Unit and property tests for the core solver."""
 
+import enum
 import math
 import random
 from concurrent.futures import ThreadPoolExecutor
@@ -17,6 +18,7 @@ from eqpart.core import (
     Mode,
     OverflowGuardError,
     PartitionState,
+    SUM_GUARD,
     SolverConfig,
     TraverseOutcome,
     _pair_diff,
@@ -57,6 +59,46 @@ def test_instance_guards():
         Instance((1.5,), Mode.EXACT_INT)
     with pytest.raises(ValueError):
         Instance((float("nan"),), Mode.FLOAT64)
+
+
+class _Small(enum.IntEnum):
+    TWO = 2
+
+
+def test_instance_int_validation_names_first_bad_value():
+    assert Instance((1, _Small.TWO), Mode.EXACT_INT).values == (1, _Small.TWO)
+    top = SUM_GUARD - 1
+    assert Instance((top, -top), Mode.EXACT_INT).values == (top, -top)
+    with pytest.raises(OverflowGuardError, match="got True"):
+        Instance((1, True), Mode.EXACT_INT)
+    with pytest.raises(OverflowGuardError, match="got True"):
+        Instance((1, True, 2.5, SUM_GUARD), Mode.EXACT_INT)
+    with pytest.raises(OverflowGuardError, match="got 2.5"):
+        Instance((1, 2.5, True), Mode.EXACT_INT)
+    for bad in (SUM_GUARD, -SUM_GUARD):
+        with pytest.raises(OverflowGuardError, match=rf"^\|{bad}\| exceeds the 2\^62 guard$"):
+            Instance((0, bad, True), Mode.EXACT_INT)
+    with pytest.raises(OverflowGuardError, match="got True"):
+        Instance((0, True, SUM_GUARD), Mode.EXACT_INT)
+
+
+def test_instance_float_validation_names_first_bad_value():
+    assert Instance((1, 2.5, True), Mode.FLOAT64).values == (1.0, 2.5, 1.0)
+    assert all(type(x) is float for x in Instance((1, _Small.TWO), Mode.FLOAT64).values)
+    with pytest.raises(ValueError, match="^non-finite value inf$"):
+        Instance((1.0, math.inf, math.nan), Mode.FLOAT64)
+    with pytest.raises(ValueError, match="^non-finite value nan$"):
+        Instance((1, math.nan, -math.inf), Mode.FLOAT64)
+    # float() would refuse "x", but the non-finite value before it is named
+    with pytest.raises(ValueError, match="^non-finite value -inf$"):
+        Instance((-math.inf, "x"), Mode.FLOAT64)
+    with pytest.raises(OverflowError):
+        Instance((1, 10**400, math.inf), Mode.FLOAT64)
+
+
+def test_empty_instance_constructs():
+    for mode in Mode:
+        assert Instance((), mode).values == ()
 
 
 def test_sum_overflow_guard():

@@ -122,6 +122,54 @@ def test_solve_with_cardinality_range_and_parity():
         solve_with_cardinality(inst, 5, SolverConfig())
 
 
+def test_empty_instance_is_a_cardinality_error():
+    for mode in Mode:
+        empty = Instance((), mode)
+        with pytest.raises(InvalidCardinalityError, match="^instance is empty$"):
+            solve(empty)
+        with pytest.raises(InvalidCardinalityError, match="^instance is empty$"):
+            solve_with_cardinality(empty, 1)
+
+
+def _gathered_sides(report):
+    """Original-index sides gathered through perm and sorted, the form
+    oracle.reference_local_search keeps."""
+    perm, state = report.sorted_instance.perm, report.partition
+    return (
+        tuple(sorted(perm[i] for i in state.set1_indices())),
+        tuple(sorted(perm[i] for i in state.set2_indices())),
+    )
+
+
+@given(
+    st.lists(st.integers(-3, 3) | st.integers(-10**6, 10**6), min_size=1, max_size=40),
+    st.sampled_from(range(4)),
+    st.data(),
+)
+@settings(max_examples=200, deadline=None)
+def test_emit_matches_sorted_gather(values, strategy_idx, data):
+    cfg = ALL_STRATEGIES[strategy_idx]
+    inst = Instance.from_values(values)
+    n = len(values)
+    reports = []
+    if n >= 2:
+        pinned = n % 2 == 1 or data.draw(st.booleans(), label="pinned")
+        card1 = data.draw(st.integers(1, n - 1), label="card1") if pinned else None
+        reports.append(solve(inst, cfg, card1))
+    trad = solve_traditional(inst, cfg)
+    reports.append(trad.extended_report)
+    for report in reports:
+        in_set1 = report.partition.in_set1
+        assert report.partition.set1_indices() == tuple(i for i, m in enumerate(in_set1) if m)
+        assert report.partition.set2_indices() == tuple(
+            i for i, m in enumerate(in_set1) if not m
+        )
+        assert (report.original_set1, report.original_set2) == _gathered_sides(report)
+    set1, set2 = _gathered_sides(trad.extended_report)
+    assert trad.part1 == tuple(i for i in set1 if i < n)
+    assert trad.part2 == tuple(i for i in set2 if i < n)
+
+
 @given(
     st.lists(st.integers(0, 500), min_size=3, max_size=12),
     st.integers(1, 11),
