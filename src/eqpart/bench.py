@@ -72,30 +72,12 @@ class GeneratorSpec:
             raise ValueError(f"unknown family {self.family!r}; expected one of {FAMILIES}")
         if self.n < 2:
             raise ValueError("n must be at least 2")
-
-    @staticmethod
-    def uniform_int(lo: int, hi: int, n: int, seed: int) -> "GeneratorSpec":
-        if lo > hi:
-            raise ValueError(f"empty range [{lo}, {hi}]")
-        return GeneratorSpec("uniform_int", n, seed, lo, hi)
-
-    @staticmethod
-    def uniform_float(lo: float, hi: float, n: int, seed: int) -> "GeneratorSpec":
-        if lo > hi:
-            raise ValueError(f"empty range [{lo}, {hi}]")
-        return GeneratorSpec("uniform_float", n, seed, lo, hi)
-
-    @staticmethod
-    def near_equal(base, epsilon, n: int, seed: int) -> "GeneratorSpec":
-        if epsilon < 0:
+        if self.family in ("uniform_int", "uniform_float") and self.p1 > self.p2:
+            raise ValueError(f"empty range [{self.p1}, {self.p2}]")
+        if self.family == "near_equal" and self.p2 < 0:
             raise ValueError("epsilon must be non-negative")
-        return GeneratorSpec("near_equal", n, seed, base, epsilon)
-
-    @staticmethod
-    def geometric(ratio, scale, n: int, seed: int) -> "GeneratorSpec":
-        if ratio <= 0 or scale <= 0:
+        if self.family == "geometric" and (self.p1 <= 0 or self.p2 <= 0):
             raise ValueError("ratio and scale must be positive")
-        return GeneratorSpec("geometric", n, seed, ratio, scale)
 
 
 def generate(spec: GeneratorSpec) -> Instance:
@@ -261,41 +243,4 @@ def export_report(report: ScalingReport, fmt: str = "csv") -> bytes:
             "slope": report.slope,
         }
         return json.dumps(payload, indent=2).encode()
-    raise ValueError(f"unknown format {fmt!r}")
-
-
-def _parse_number(text: str):
-    try:
-        return int(text)
-    except ValueError:
-        return float(text)
-
-
-def parse_report(data: bytes, fmt: str = "csv") -> ScalingReport:
-    """Inverse of export_report; the CSV path re-derives rows and slope."""
-    if fmt == "csv":
-        reader = csv.reader(io.StringIO(data.decode()))
-        header = next(reader, None)
-        if tuple(header or ()) != CSV_HEADER:
-            raise ValueError(f"unexpected CSV header {header!r}")
-        runs = tuple(
-            RunRecord(
-                n=int(row[0]),
-                family=row[1],
-                seed=int(row[2]),
-                traverses=int(row[3]),
-                swaps=int(row[4]),
-                candidate_evals=int(row[5]),
-                wall_time_ns=int(row[6]),
-                objective=_parse_number(row[7]),
-            )
-            for row in reader
-        )
-        rows = _reduce(runs)
-        return ScalingReport(runs=runs, rows=rows, slope=_fit_slope(rows))
-    if fmt == "json":
-        payload = json.loads(data.decode())
-        runs = tuple(RunRecord(**r) for r in payload["runs"])
-        rows = tuple(ScalingRow(**r) for r in payload["rows"])
-        return ScalingReport(runs=runs, rows=rows, slope=payload["slope"])
     raise ValueError(f"unknown format {fmt!r}")

@@ -173,10 +173,10 @@ def _cmd_solve(args) -> int:
         report = solve(instance, cfg)
     verified = None
     if args.verify or args.command == "verify":
-        verified = bool(is_locally_optimal_pairswap(report.partition))
+        verified = is_locally_optimal_pairswap(report.partition)
     exact_min = None
     if args.oracle:
-        exact_min = oracle_result(instance).exact_min
+        exact_min = oracle_result(instance, card1=args.cardinality).exact_min
     _render_solution(
         args, instance, report.objective,
         report.original_set1, report.original_set2, report,
@@ -193,8 +193,8 @@ def _cmd_solve_traditional(args) -> int:
     result = solve_traditional(instance, cfg)
     verified = None
     if args.verify:
-        verified = bool(
-            is_locally_optimal_pairswap(result.extended_report.partition)
+        verified = is_locally_optimal_pairswap(
+            result.extended_report.partition
         ) and is_locally_optimal_transfer(result)
     exact_min = None
     if args.oracle:
@@ -273,7 +273,8 @@ def _add_common(p: argparse.ArgumentParser, cardinality: bool = False) -> None:
     p.add_argument("--verify", action="store_true",
                    help="check local optimality of the output and report PASS/FAIL")
     p.add_argument("--oracle", action="store_true",
-                   help="compare against the exhaustive optimum (small N only)")
+                   help="compare against the exhaustive optimum (small N only; "
+                        "with --cardinality, the optimum at that cardinality)")
     p.add_argument("--stats", action="store_true", help="print run counters")
     if cardinality:
         p.add_argument("--cardinality", type=int, default=None, metavar="K",

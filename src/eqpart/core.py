@@ -138,14 +138,11 @@ class SolverConfig:
     seed: Optional[int] = None
     traverse_guard_factor: int = 1
     verify_window: bool = False
-    float_tolerance: float = 0.0
     collect_trace: bool = False
 
     def __post_init__(self):
         if self.traverse_guard_factor < 1:
             raise ValueError("traverse_guard_factor must be a positive integer")
-        if self.float_tolerance < 0:
-            raise ValueError("float_tolerance must be non-negative")
         if self.init_strategy is InitStrategy.RANDOM and self.seed is None:
             raise ValueError("RANDOM initialization requires a seed")
 
@@ -184,8 +181,7 @@ class PartitionState:
     in_set1[i] is True when sorted index i belongs to side 1.  d == s1 - s2
     is maintained incrementally; in exact mode it matches a from-scratch
     recomputation bit for bit at all times, in float mode at every traverse
-    start (see recompute_sums).  zero_tolerance widens the d == 0 test in
-    float mode; it is copied from SolverConfig.float_tolerance.
+    start (see recompute_sums).
     """
 
     values: tuple
@@ -196,7 +192,6 @@ class PartitionState:
     card1: int
     card2: int
     mode: Mode
-    zero_tolerance: float = 0.0
 
     def set1_indices(self) -> tuple:
         return tuple(itertools.compress(range(len(self.in_set1)), self.in_set1))
@@ -206,9 +201,7 @@ class PartitionState:
         return tuple(itertools.filterfalse(m.__getitem__, range(len(m))))
 
     @classmethod
-    def from_membership(
-        cls, values: tuple, in_set1: list, mode: Mode, zero_tolerance: float = 0.0
-    ) -> "PartitionState":
+    def from_membership(cls, values: tuple, in_set1: list, mode: Mode) -> "PartitionState":
         """State for side 1 = the indices marked in in_set1, with exact sums."""
         s1, s2 = _side_sums(values, in_set1, mode)
         card1 = sum(in_set1)
@@ -221,11 +214,7 @@ class PartitionState:
             card1=card1,
             card2=len(values) - card1,
             mode=mode,
-            zero_tolerance=zero_tolerance,
         )
-
-    def is_zero(self) -> bool:
-        return abs(self.d) <= self.zero_tolerance if self.mode is Mode.FLOAT64 else self.d == 0
 
 
 @dataclass(frozen=True)
@@ -244,22 +233,6 @@ class SolveReport:
     sorted_instance: SortedInstance
     trace: tuple = ()
     maintained_drift: float = 0.0
-
-
-class LocalOptCheck:
-    """Truthy verdict of a local-optimality check, with a witness on failure."""
-
-    __slots__ = ("ok", "witness")
-
-    def __init__(self, ok: bool, witness=None):
-        self.ok = ok
-        self.witness = witness
-
-    def __bool__(self) -> bool:
-        return self.ok
-
-    def __repr__(self) -> str:
-        return f"LocalOptCheck(ok={self.ok}, witness={self.witness})"
 
 
 def _sum_values(values, mode: Mode):
@@ -354,10 +327,7 @@ def init_partition(
     elif not 1 <= card1 <= n - 1:
         raise InvalidCardinalityError(f"cardinality {card1} out of range 1..{n - 1}")
     return PartitionState.from_membership(
-        si.sorted_values,
-        _initial_membership(si, cfg, card1),
-        si.mode,
-        cfg.float_tolerance if si.mode is Mode.FLOAT64 else 0.0,
+        si.sorted_values, _initial_membership(si, cfg, card1), si.mode
     )
 
 
@@ -418,7 +388,7 @@ def find_best_swap(
     d = state.d
     in_set1 = state.in_set1
     side = in_set1[n]
-    if (d > 0) != side or state.is_zero():
+    if (d > 0) != side or d == 0:
         if metrics is not None:
             metrics.candidate_evaluations += 1
         return None
@@ -473,8 +443,8 @@ def apply_swap(state: PartitionState, n: int, partner: int) -> TraverseOutcome:
     """Exchange memberships of n and partner and update sums incrementally.
 
     Classifies the new difference as the sweep's outcome so far:
-    ZERO_REACHED when it vanished (within the float tolerance), SIGN_FLIPPED
-    when the sign strictly crossed, COMPLETED (the sweep may go on) otherwise.
+    ZERO_REACHED when it vanished, SIGN_FLIPPED when the sign strictly
+    crossed, COMPLETED (the sweep may go on) otherwise.
     """
     if state.in_set1[n] == state.in_set1[partner]:
         raise ContractViolationError(f"indices {n} and {partner} are in the same side")
@@ -486,7 +456,7 @@ def apply_swap(state: PartitionState, n: int, partner: int) -> TraverseOutcome:
     state.d = _pair_diff(state, a, b)
     state.in_set1[a] = False
     state.in_set1[b] = True
-    if state.is_zero():
+    if state.d == 0:
         return TraverseOutcome.ZERO_REACHED
     if (old_d > 0) != (state.d > 0):
         return TraverseOutcome.SIGN_FLIPPED
@@ -615,12 +585,9 @@ def solve(
     )
 
 
-def is_locally_optimal_pairswap(
-    state: PartitionState, tolerance: float = 0.0
-) -> LocalOptCheck:
+def is_locally_optimal_pairswap(state: PartitionState, tolerance: float = 0.0) -> bool:
     """True iff no cross-side swap drops |d| below |d| - tolerance.
 
-    On failure the witness is one violating (side1_index, side2_index) pair.
     Linear after sorting each side by value (already sorted for solver
     states, which timsort sees in one pass).
 
@@ -633,7 +600,7 @@ def is_locally_optimal_pairswap(
     can be a's best swap.  As x_a grows, d - 2*x_a can only shrink, so every
     d' can only shrink and the crossing only moves right: one pointer over
     side 2 serves all of side 1.  oracle.pairswap_witness is the all-pairs
-    reference this must agree with.
+    reference this must agree with, and names a violating pair.
     """
     key = state.values.__getitem__
     side1 = sorted(state.set1_indices(), key=key)
@@ -645,5 +612,5 @@ def is_locally_optimal_pairswap(
             p += 1
         for b in side2[max(p - 1, 0):p + 1]:
             if abs(_pair_diff(state, a, b)) < threshold:
-                return LocalOptCheck(False, (a, b))
-    return LocalOptCheck(True)
+                return False
+    return True

@@ -15,7 +15,7 @@ import math
 import time
 from dataclasses import dataclass
 from itertools import combinations
-from typing import Iterator
+from typing import Iterator, Optional
 
 from .core import (
     Instance,
@@ -44,14 +44,23 @@ class OracleResult:
     num_partitions_enumerated: int
 
 
-def _check_enumerable(n: int) -> None:
-    if n < 2 or n % 2 != 0:
-        raise InvalidCardinalityError(f"equal-cardinality enumeration needs even N >= 2, got {n}")
+def _check_enumerable(n: int, card1: Optional[int]) -> int:
+    """Side-1 size to enumerate: N/2 by default, else card1 in 1..N-1."""
+    if card1 is None:
+        if n < 2 or n % 2 != 0:
+            raise InvalidCardinalityError(
+                f"equal-cardinality enumeration needs even N >= 2, got {n}"
+            )
+        card1 = n // 2
+    elif not 1 <= card1 <= n - 1:
+        raise InvalidCardinalityError(f"cardinality {card1} out of range 1..{n - 1}")
     if n > ENUMERATION_CAP:
+        count = f"C({n},{card1})/2" if 2 * card1 == n else f"C({n},{card1})"
         raise OracleCapError(
             f"N={n} exceeds the enumeration cap of {ENUMERATION_CAP} "
-            f"(C({n},{n // 2})/2 bipartitions is too many)"
+            f"({count} bipartitions is too many)"
         )
+    return card1
 
 
 def pairswap_witness(state: PartitionState, tolerance: float = 0.0):
@@ -68,17 +77,22 @@ def pairswap_witness(state: PartitionState, tolerance: float = 0.0):
     return None
 
 
-def enumerate_equal_partitions(instance: Instance) -> Iterator[PartitionState]:
+def enumerate_equal_partitions(
+    instance: Instance, card1: Optional[int] = None
+) -> Iterator[PartitionState]:
     """Yield every unordered equal-cardinality bipartition exactly once.
 
     Sorted index 0 is pinned to side 1, which kills the label symmetry.
+    With card1 = k, yield every side-1 set of size k instead; index 0 is
+    pinned only when 2k == N, the one case where the labels are symmetric.
     """
     n = len(instance)
-    _check_enumerable(n)
+    k = _check_enumerable(n, card1)
     si = normalize_and_sort(instance)
-    for rest in combinations(range(1, n), n // 2 - 1):
+    pinned = (0,) if 2 * k == n else ()
+    for rest in combinations(range(len(pinned), n), k - len(pinned)):
         in_set1 = [False] * n
-        for i in (0,) + rest:
+        for i in pinned + rest:
             in_set1[i] = True
         yield PartitionState.from_membership(si.sorted_values, in_set1, si.mode)
 
@@ -98,11 +112,13 @@ def local_optima_set(instance: Instance, tolerance: float = 0.0) -> tuple:
     return tuple(sorted(vals))
 
 
-def oracle_result(instance: Instance) -> OracleResult:
+def oracle_result(instance: Instance, card1: Optional[int] = None) -> OracleResult:
+    """Exact optimum and local optima over the partitions that
+    enumerate_equal_partitions(instance, card1) yields."""
     count = 0
     optima = set()
     best = None
-    for s in enumerate_equal_partitions(instance):
+    for s in enumerate_equal_partitions(instance, card1):
         count += 1
         obj = abs(s.d)
         if best is None or obj < best:

@@ -6,13 +6,13 @@ from eqpart import bench
 from eqpart.core import Instance, PartitionState, normalize_and_sort
 
 
-def make_state(values, set1, mode=None, tolerance=0.0):
+def make_state(values, set1, mode=None):
     """Partition state over already-sorted values with side 1 = set1 indices."""
     inst = Instance.from_values(values) if mode is None else Instance(tuple(values), mode)
     si = normalize_and_sort(inst)
     assert si.sorted_values == inst.values, "make_state expects sorted input"
     in_set1 = [i in set1 for i in range(len(values))]
-    return PartitionState.from_membership(inst.values, in_set1, inst.mode, tolerance)
+    return PartitionState.from_membership(inst.values, in_set1, inst.mode)
 
 
 @pytest.fixture

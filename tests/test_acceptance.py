@@ -84,7 +84,7 @@ def exhaustive_small_runs():
 def scaling_suite():
     """Criterion 5 workload: N in {2^8..2^13}, uniform ints, 11 seeds per size."""
     specs = [
-        GeneratorSpec.uniform_int(1, 10**9, 2**k, seed=1000 * k) for k in range(8, 14)
+        GeneratorSpec("uniform_int", 2**k, 1000 * k, 1, 10**9) for k in range(8, 14)
     ]
     t0 = time.perf_counter()
     report = run_suite(specs, SolverConfig(), repetitions=11)

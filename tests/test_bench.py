@@ -1,6 +1,9 @@
 """Tests for the generators and the scaling harness."""
 
+import csv
 import dataclasses
+import io
+import json
 
 import pytest
 
@@ -8,10 +11,11 @@ from eqpart.bench import (
     CSV_HEADER,
     BenchInvariantError,
     GeneratorSpec,
+    RunRecord,
     ScalingReport,
+    ScalingRow,
     export_report,
     generate,
-    parse_report,
     run_one,
     run_suite,
 )
@@ -21,55 +25,59 @@ SMALL_SIZES = (16, 32, 64, 128)
 
 
 def small_specs(seed=1):
-    return [GeneratorSpec.uniform_int(1, 10**6, n, seed) for n in SMALL_SIZES]
+    return [GeneratorSpec("uniform_int", n, seed, 1, 10**6) for n in SMALL_SIZES]
 
 
 def test_generate_degenerate_range():
-    inst = generate(GeneratorSpec.uniform_int(1, 1, 6, seed=0))
+    inst = generate(GeneratorSpec("uniform_int", 6, 0, 1, 1))
     assert inst.values == (1, 1, 1, 1, 1, 1)
     assert inst.mode is Mode.EXACT_INT
 
 
 def test_generate_near_equal_bounds():
-    spec = GeneratorSpec.near_equal(10**6, 1, 50, seed=3)
+    spec = GeneratorSpec("near_equal", 50, 3, 10**6, 1)
     inst = generate(spec)
     assert all(10**6 - 1 <= v <= 10**6 + 1 for v in inst.values)
     assert inst.mode is Mode.EXACT_INT
 
 
 def test_generate_uniform_float():
-    inst = generate(GeneratorSpec.uniform_float(0.0, 1.0, 40, seed=9))
+    inst = generate(GeneratorSpec("uniform_float", 40, 9, 0.0, 1.0))
     assert inst.mode is Mode.FLOAT64
     assert all(0.0 <= v <= 1.0 for v in inst.values)
 
 
 def test_generate_geometric():
-    inst = generate(GeneratorSpec.geometric(2, 3, 5, seed=0))
+    inst = generate(GeneratorSpec("geometric", 5, 0, 2, 3))
     assert inst.values == (3, 6, 12, 24, 48)
-    big = generate(GeneratorSpec.geometric(2, 1, 80, seed=0))
+    big = generate(GeneratorSpec("geometric", 80, 0, 2, 1))
     assert big.mode is Mode.FLOAT64  # would overflow the integer guard
 
 
 def test_generate_determinism():
-    spec = GeneratorSpec.uniform_int(1, 10**9, 64, seed=42)
+    spec = GeneratorSpec("uniform_int", 64, 42, 1, 10**9)
     assert generate(spec).values == generate(spec).values
 
 
 def test_spec_validation():
-    with pytest.raises(ValueError):
-        GeneratorSpec.uniform_int(5, 1, 10, seed=0)
-    with pytest.raises(ValueError):
-        GeneratorSpec.near_equal(10, -1, 10, seed=0)
-    with pytest.raises(ValueError):
-        GeneratorSpec.geometric(0, 1, 10, seed=0)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"empty range \[5, 1\]"):
+        GeneratorSpec("uniform_int", 10, 0, 5, 1)
+    with pytest.raises(ValueError, match=r"empty range \[1.0, 0.5\]"):
+        GeneratorSpec("uniform_float", 10, 0, 1.0, 0.5)
+    with pytest.raises(ValueError, match="epsilon"):
+        GeneratorSpec("near_equal", 10, 0, 10, -1)
+    with pytest.raises(ValueError, match="positive"):
+        GeneratorSpec("geometric", 10, 0, 0, 1)
+    with pytest.raises(ValueError, match="positive"):
+        GeneratorSpec("geometric", 10, 0, 2, -3)
+    with pytest.raises(ValueError, match="unknown family"):
         GeneratorSpec("nope", 10, 0, 1, 2)
-    with pytest.raises(ValueError):
-        GeneratorSpec.uniform_int(1, 2, 1, seed=0)
+    with pytest.raises(ValueError, match="at least 2"):
+        GeneratorSpec("uniform_int", 1, 0, 1, 2)
 
 
 def test_single_partition_instance_runs_one_traverse():
-    rec = run_one(GeneratorSpec.uniform_int(1, 10**6, 2, seed=5), SolverConfig())
+    rec = run_one(GeneratorSpec("uniform_int", 2, 5, 1, 10**6), SolverConfig())
     assert rec.traverses == 1
     assert rec.swaps == 0
 
@@ -92,7 +100,7 @@ def test_run_suite_needs_four_sizes():
 def test_invariant_breach_aborts_with_seed(work_bound_breach):
     cfg = SolverConfig(init_strategy=InitStrategy.SPLIT_HALF)
     with pytest.raises(BenchInvariantError, match="seed=0"):
-        run_one(GeneratorSpec.uniform_int(1, 10**6, 64, seed=0), cfg)
+        run_one(GeneratorSpec("uniform_int", 64, 0, 1, 10**6), cfg)
 
 
 @pytest.mark.parametrize(
@@ -104,10 +112,10 @@ def test_invariant_breach_aborts_with_seed(work_bound_breach):
 def test_run_suite_work_gate_holds_for_poorly_mixed_starts(cfg):
     # run_one's 2N per-sweep gate, well beyond criterion 4's N <= 16 corpus
     sizes = [2**k for k in range(8, 12)]
-    specs = [GeneratorSpec.uniform_int(1, 10**9, n, seed=n) for n in sizes]
-    specs += [GeneratorSpec.uniform_float(0.0, 1.0, n, seed=n) for n in sizes]
-    specs += [GeneratorSpec.near_equal(10**6, 100, n, seed=n) for n in sizes]
-    specs += [GeneratorSpec.geometric(1.01, 1.0, n, seed=n) for n in sizes]
+    specs = [GeneratorSpec("uniform_int", n, n, 1, 10**9) for n in sizes]
+    specs += [GeneratorSpec("uniform_float", n, n, 0.0, 1.0) for n in sizes]
+    specs += [GeneratorSpec("near_equal", n, n, 10**6, 100) for n in sizes]
+    specs += [GeneratorSpec("geometric", n, n, 1.01, 1.0) for n in sizes]
     report = run_suite(specs, cfg, repetitions=2)
     assert len(report.runs) == 2 * len(specs)
 
@@ -127,26 +135,31 @@ def test_export_single_row():
 
 def test_csv_round_trip():
     report = run_suite(small_specs(), SolverConfig(), repetitions=2)
-    data = export_report(report, "csv")
-    assert parse_report(data, "csv") == report
+    rows = list(csv.reader(io.StringIO(export_report(report, "csv").decode())))
+    assert tuple(rows[0]) == CSV_HEADER
+    runs = [RunRecord(int(row[0]), row[1], *map(int, row[2:])) for row in rows[1:]]
+    assert tuple(runs) == report.runs
 
 
 def test_json_round_trip():
     report = run_suite(small_specs(), SolverConfig(), repetitions=2)
-    data = export_report(report, "json")
-    assert parse_report(data, "json") == report
+    payload = json.loads(export_report(report, "json"))
+    assert tuple(RunRecord(**r) for r in payload["runs"]) == report.runs
+    assert tuple(ScalingRow(**r) for r in payload["rows"]) == report.rows
+    assert payload["slope"] == report.slope
 
 
 def test_float_objective_round_trips():
-    specs = [GeneratorSpec.uniform_float(0.0, 1.0, n, seed=4) for n in SMALL_SIZES]
+    specs = [GeneratorSpec("uniform_float", n, 4, 0.0, 1.0) for n in SMALL_SIZES]
     report = run_suite(specs, SolverConfig(), repetitions=1)
-    assert parse_report(export_report(report, "csv"), "csv") == report
-    assert parse_report(export_report(report, "json"), "json") == report
+    rows = list(csv.reader(io.StringIO(export_report(report, "csv").decode())))[1:]
+    assert [row[7] for row in rows] == [repr(r.objective) for r in report.runs]
+    assert [float(row[7]) for row in rows] == [r.objective for r in report.runs]
+    payload = json.loads(export_report(report, "json"))
+    assert [r["objective"] for r in payload["runs"]] == [r.objective for r in report.runs]
 
 
 def test_unknown_format_rejected():
     report = ScalingReport(runs=(), rows=(), slope=None)
     with pytest.raises(ValueError):
         export_report(report, "xml")
-    with pytest.raises(ValueError):
-        parse_report(b"", "xml")

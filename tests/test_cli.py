@@ -237,6 +237,29 @@ def test_cardinality_flag(capsys, monkeypatch):
     assert payload["objective"] == 2
 
 
+@pytest.mark.parametrize(
+    "command, values, k, objective, exact_min",
+    [("solve", "1 2 3 4 100 7", 1, 83, 83),
+     ("solve", "1 2 3 4", 1, 2, 2),
+     ("solve", "1 2 3 4 10", 2, 6, 2),
+     ("verify", "1 2 3 4 10", 2, 6, 2)],
+)
+def test_cardinality_oracle_is_the_pinned_optimum(capsys, monkeypatch, command, values, k,
+                                                  objective, exact_min):
+    code, out, _ = run_cli(
+        capsys, [command, "--cardinality", str(k), "--oracle", "--format", "json"],
+        values, monkeypatch,
+    )
+    assert code == 0
+    payload = json.loads(out)
+    assert len(payload["set1"]) == k
+    assert (payload["objective"], payload["exact_min"]) == (objective, exact_min)
+    code, out, _ = run_cli(capsys, [command, "--cardinality", str(k), "--oracle"],
+                           values, monkeypatch)
+    status = "globally optimal" if objective == exact_min else "locally optimal only"
+    assert code == 0 and f"exact_min: {exact_min} ({status})" in out
+
+
 def test_cardinality_out_of_range_exit_2(capsys, monkeypatch):
     code, _, err = run_cli(capsys, ["solve", "--cardinality", "9"], "1 2 3 4", monkeypatch)
     assert code == 2
@@ -298,6 +321,23 @@ def test_bench_split_init_aborts_exit_3(capsys, work_bound_breach):
     )
     assert code == 3
     assert "seed" in err
+
+
+@pytest.mark.parametrize(
+    "family, p1, p2, message",
+    [("uniform-int", "10", "1", "error: empty range [10, 1]"),
+     ("uniform-float", "10", "1", "error: empty range [10, 1]"),
+     ("uniform-float", "0.5", "0.25", "error: empty range [0.5, 0.25]"),
+     ("near-equal", "100", "-1", "error: epsilon must be non-negative"),
+     ("geometric", "-2", "1", "error: ratio and scale must be positive")],
+)
+def test_bench_rejects_empty_family_ranges_exit_2(capsys, family, p1, p2, message):
+    code, out, err = run_cli(
+        capsys, ["bench", "--family", family, "--p1", p1, "--p2", p2,
+                 "--sizes", "16,32,64,128", "--reps", "1"],
+    )
+    assert code == 2
+    assert out == "" and err == message + "\n"
 
 
 def test_verify_window_env(capsys, monkeypatch):

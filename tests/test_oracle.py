@@ -1,5 +1,7 @@
 """Tests for the exhaustive oracles."""
 
+import math
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -34,6 +36,29 @@ def test_enumerate_counts():
     assert sum(1 for _ in enumerate_equal_partitions(Instance.from_values([3, 9]))) == 1
     inst6 = Instance.from_values([1, 2, 3, 4, 5, 6])
     assert sum(1 for _ in enumerate_equal_partitions(inst6)) == 10 == binomial_half(6)
+
+
+@pytest.mark.parametrize("n, k", [(5, 2), (6, 1), (7, 6), (8, 3), (6, 3)])
+def test_enumerate_pinned_cardinality(n, k):
+    inst = Instance.from_values(list(range(1, n + 1)))
+    parts = [frozenset(s.set1_indices()) for s in enumerate_equal_partitions(inst, card1=k)]
+    assert all(len(p) == k for p in parts)
+    assert len(set(parts)) == len(parts)
+    if 2 * k == n:  # label symmetry: one of each complementary pair
+        assert len(parts) == binomial_half(n) and all(0 in p for p in parts)
+    else:
+        assert len(parts) == math.comb(n, k)
+
+
+def test_oracle_pinned_cardinality():
+    inst = Instance.from_values([1, 2, 3, 4, 100, 7])
+    res = oracle_result(inst, card1=1)
+    assert res.exact_min == 83 and res.num_partitions_enumerated == 6
+    assert oracle_result(inst, card1=3) == oracle_result(inst)
+    with pytest.raises(InvalidCardinalityError, match="out of range"):
+        oracle_result(inst, card1=6)
+    with pytest.raises(OracleCapError):
+        oracle_result(Instance.from_values(list(range(25))), card1=3)
 
 
 def test_enumeration_cap_and_parity():

@@ -1,0 +1,81 @@
+"""Tests for the package surface: what importing it loads, and README's examples."""
+
+import io
+import os
+import re
+import shlex
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+from eqpart.cli import main
+
+ROOT = Path(__file__).resolve().parent.parent
+README = (ROOT / "README.md").read_text()
+
+
+def loaded_modules(statement):
+    """Names in sys.modules after `statement` runs in a fresh interpreter."""
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    code = f"{statement}; import sys; print('\\n'.join(sorted(sys.modules)))"
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, check=True, timeout=60)
+    return set(proc.stdout.split())
+
+
+def test_import_eqpart_loads_no_submodule():
+    loaded = loaded_modules("import eqpart")
+    assert "eqpart" in loaded
+    assert not {m for m in loaded if m.startswith("eqpart.")}
+
+
+def test_cli_loads_no_numpy():
+    loaded = loaded_modules("from eqpart.cli import main")
+    assert "eqpart.cli" in loaded
+    assert not {m for m in loaded if m == "numpy" or m.startswith("numpy.")}
+
+
+def fence(heading):
+    """Body of the first code fence after a `## heading` line."""
+    section = README.split(f"\n## {heading}\n", 1)[1]
+    return re.search(r"```[a-z]*\n(.*?)```", section, re.S).group(1)
+
+
+def cli_examples():
+    """(command line, shown output lines) for each `$ echo ... | eqpart ...` line."""
+    examples = []
+    for block in fence("CLI").split("\n\n"):
+        command, *shown = block.strip().splitlines()
+        if command.startswith("$ echo "):
+            examples.append(pytest.param(command[2:], shown, id=command[2:]))
+    return examples
+
+
+@pytest.mark.parametrize("command, shown", cli_examples())
+def test_readme_cli_example(command, shown, capsys, monkeypatch):
+    words = shlex.split(command)
+    assert words[0] == "echo" and words[2:4] == ["|", "eqpart"], command
+    stdin = io.BytesIO((words[1] + "\n").encode())
+    monkeypatch.setattr(sys, "stdin", type("S", (), {"buffer": stdin})())
+    assert main(words[4:]) == 0
+    out = capsys.readouterr().out.splitlines()
+    if "..." not in shown:
+        assert len(out) == len(shown)
+    for expected, actual in zip(shown, out):
+        if expected == "...":
+            break
+        head, dots, tail = expected.partition("...")
+        if dots:
+            assert actual.startswith(head) and actual.endswith(tail), (expected, actual)
+        else:
+            assert actual == expected
+
+
+def test_readme_cli_examples_found():
+    assert len(cli_examples()) >= 4
+
+
+def test_readme_library_example():
+    exec(compile(fence("Library"), "README.md", "exec"), {})
