@@ -76,8 +76,18 @@ class GeneratorSpec:
             raise ValueError(f"empty range [{self.p1}, {self.p2}]")
         if self.family == "near_equal" and self.p2 < 0:
             raise ValueError("epsilon must be non-negative")
-        if self.family == "geometric" and (self.p1 <= 0 or self.p2 <= 0):
-            raise ValueError("ratio and scale must be positive")
+        if self.family == "geometric":
+            if self.p1 <= 0 or self.p2 <= 0:
+                raise ValueError("ratio and scale must be positive")
+            try:
+                top = float(self.p2 * max(self.p1, 1) ** (self.n - 1))
+            except OverflowError:
+                top = math.inf
+            if not math.isfinite(top):
+                raise ValueError(
+                    f"largest geometric term {self.p2:g} * {self.p1:g}^{self.n - 1} "
+                    "is not a finite float"
+                )
 
 
 def generate(spec: GeneratorSpec) -> Instance:

@@ -33,11 +33,7 @@ from .core import (
 from . import bench as bench_mod
 from .bench import BenchInvariantError, GeneratorSpec
 from .oracle import OracleCapError, exact_min_diff_unconstrained, oracle_result
-from .reductions import (
-    is_locally_optimal_transfer,
-    solve_traditional,
-    solve_with_cardinality,
-)
+from .reductions import is_locally_optimal_transfer, solve_traditional
 
 
 class InputFormatError(PartitionError):
@@ -100,14 +96,17 @@ def _first_bad_token(text: str, mode: Mode) -> InputFormatError:
     raise InternalConsistencyError("the bulk parse refused input the line scan accepts")
 
 
-def _read_input(path: str) -> bytes:
-    if path == "-":
-        return sys.stdin.buffer.read()
-    try:
-        with open(path, "rb") as fh:
-            return fh.read()
-    except OSError as exc:
-        raise InputFormatError(f"cannot read {path}: {exc}") from exc
+def _read_instance(args) -> Instance:
+    """Parse --input (a path, or - for stdin) in the --mode the args name."""
+    if args.input == "-":
+        data = sys.stdin.buffer.read()
+    else:
+        try:
+            with open(args.input, "rb") as fh:
+                data = fh.read()
+        except OSError as exc:
+            raise InputFormatError(f"cannot read {args.input}: {exc}") from exc
+    return parse_input(data, Mode(args.mode) if args.mode else None)
 
 
 def _config_from_args(args) -> SolverConfig:
@@ -130,7 +129,8 @@ def _metrics_dict(report: SolveReport) -> dict:
 
 
 def _render_solution(args, instance, objective, idx1, idx2, report,
-                     verified=None, exact_min=None) -> None:
+                     verified=None, exact_min=None) -> int:
+    """Print the answer; the exit code is 3 when verification failed."""
     vals1 = [instance.values[i] for i in idx1]
     vals2 = [instance.values[i] for i in idx2]
     if args.format == "json":
@@ -145,52 +145,39 @@ def _render_solution(args, instance, objective, idx1, idx2, report,
         if exact_min is not None:
             payload["exact_min"] = exact_min
         print(json.dumps(payload))
-        return
-    print(f"objective: {objective}")
-    print(f"set1: {' '.join(str(v) for v in vals1)}  (indices {' '.join(str(i) for i in idx1)})")
-    print(f"set2: {' '.join(str(v) for v in vals2)}  (indices {' '.join(str(i) for i in idx2)})")
-    if verified is not None:
-        print(f"verified: {'PASS' if verified else 'FAIL'}")
-    if exact_min is not None:
-        status = "globally optimal" if objective == exact_min else "locally optimal only"
-        print(f"exact_min: {exact_min} ({status})")
-    if args.stats:
-        m = report.metrics
-        print(
-            f"stats: traverses={m.traverses} swaps={m.swaps} "
-            f"sign_changes={m.sign_changes} "
-            f"candidate_evaluations={m.candidate_evaluations} "
-            f"wall_time_ns={m.wall_time_ns}"
-        )
+    else:
+        print(f"objective: {objective}")
+        print(f"set1: {' '.join(map(str, vals1))}  (indices {' '.join(map(str, idx1))})")
+        print(f"set2: {' '.join(map(str, vals2))}  (indices {' '.join(map(str, idx2))})")
+        if verified is not None:
+            print(f"verified: {'PASS' if verified else 'FAIL'}")
+        if exact_min is not None:
+            status = "globally optimal" if objective == exact_min else "locally optimal only"
+            print(f"exact_min: {exact_min} ({status})")
+        if args.stats:
+            print("stats: " + " ".join(f"{k}={v}" for k, v in _metrics_dict(report).items()))
+    return 3 if verified is False else 0
 
 
 def _cmd_solve(args) -> int:
-    instance = parse_input(_read_input(args.input), _mode_from_args(args))
-    cfg = _config_from_args(args)
-    if args.cardinality is not None:
-        report = solve_with_cardinality(instance, args.cardinality, cfg)
-    else:
-        report = solve(instance, cfg)
+    instance = _read_instance(args)
+    report = solve(instance, _config_from_args(args), card1=args.cardinality)
     verified = None
     if args.verify or args.command == "verify":
         verified = is_locally_optimal_pairswap(report.partition)
     exact_min = None
     if args.oracle:
         exact_min = oracle_result(instance, card1=args.cardinality).exact_min
-    _render_solution(
+    return _render_solution(
         args, instance, report.objective,
         report.original_set1, report.original_set2, report,
         verified, exact_min,
     )
-    if verified is False:
-        return 3
-    return 0
 
 
 def _cmd_solve_traditional(args) -> int:
-    instance = parse_input(_read_input(args.input), _mode_from_args(args))
-    cfg = _config_from_args(args)
-    result = solve_traditional(instance, cfg)
+    instance = _read_instance(args)
+    result = solve_traditional(instance, _config_from_args(args))
     verified = None
     if args.verify:
         verified = is_locally_optimal_pairswap(
@@ -199,18 +186,14 @@ def _cmd_solve_traditional(args) -> int:
     exact_min = None
     if args.oracle:
         exact_min = exact_min_diff_unconstrained(instance)
-    _render_solution(
+    return _render_solution(
         args, instance, result.objective, result.part1, result.part2,
         result.extended_report, verified, exact_min,
     )
-    if verified is False:
-        return 3
-    return 0
 
 
 def _cmd_oracle(args) -> int:
-    instance = parse_input(_read_input(args.input), _mode_from_args(args))
-    res = oracle_result(instance)
+    res = oracle_result(_read_instance(args))
     if args.format == "json":
         print(
             json.dumps(
@@ -252,14 +235,6 @@ def _cmd_bench(args) -> int:
     else:
         sys.stdout.write(data.decode())
     return 0
-
-
-def _mode_from_args(args) -> Mode | None:
-    if args.mode == "int":
-        return Mode.EXACT_INT
-    if args.mode == "float":
-        return Mode.FLOAT64
-    return None
 
 
 def _add_common(p: argparse.ArgumentParser, cardinality: bool = False) -> None:

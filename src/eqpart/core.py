@@ -176,21 +176,17 @@ class SwapEvent:
 
 @dataclass
 class PartitionState:
-    """Membership of each sorted index plus maintained sums.
+    """Membership of each sorted index plus the maintained difference.
 
-    in_set1[i] is True when sorted index i belongs to side 1.  d == s1 - s2
-    is maintained incrementally; in exact mode it matches a from-scratch
-    recomputation bit for bit at all times, in float mode at every traverse
-    start (see recompute_sums).
+    in_set1[i] is True when sorted index i belongs to side 1.  d, the side-1
+    sum minus the side-2 sum, is the one number the descent maintains; in
+    exact mode it matches a from-scratch recomputation bit for bit at all
+    times, in float mode at every traverse start (see recompute_sums).
     """
 
     values: tuple
     in_set1: list
-    s1: float | int
-    s2: float | int
     d: float | int
-    card1: int
-    card2: int
     mode: Mode
 
     def set1_indices(self) -> tuple:
@@ -202,19 +198,8 @@ class PartitionState:
 
     @classmethod
     def from_membership(cls, values: tuple, in_set1: list, mode: Mode) -> "PartitionState":
-        """State for side 1 = the indices marked in in_set1, with exact sums."""
-        s1, s2 = _side_sums(values, in_set1, mode)
-        card1 = sum(in_set1)
-        return cls(
-            values=values,
-            in_set1=in_set1,
-            s1=s1,
-            s2=s2,
-            d=s1 - s2,
-            card1=card1,
-            card2=len(values) - card1,
-            mode=mode,
-        )
+        """State for side 1 = the indices marked in in_set1, d from exact sums."""
+        return cls(values, in_set1, _side_diff(values, in_set1, mode), mode)
 
 
 @dataclass(frozen=True)
@@ -243,11 +228,10 @@ def _sum_values(values, mode: Mode):
     return math.fsum(values)
 
 
-def _side_sums(values, in_set1, mode: Mode):
-    """Exact (s1, s2) of the sides marked by in_set1."""
+def _side_diff(values, in_set1, mode: Mode):
+    """s1 - s2 of the sides marked by in_set1, each side summed exactly."""
     s1 = _sum_values(itertools.compress(values, in_set1), mode)
-    s2 = _sum_values(itertools.compress(values, map(operator.not_, in_set1)), mode)
-    return s1, s2
+    return s1 - _sum_values(itertools.compress(values, map(operator.not_, in_set1)), mode)
 
 
 def normalize_and_sort(instance: Instance) -> SortedInstance:
@@ -255,12 +239,13 @@ def normalize_and_sort(instance: Instance) -> SortedInstance:
     values = instance.values
     if len(values) == 0:
         raise InvalidCardinalityError("instance is empty")
-    if instance.mode is Mode.EXACT_INT:
-        total = sum(map(abs, values))
-        if total >= SUM_GUARD:
-            raise OverflowGuardError(
-                f"sum of |values| = {total} exceeds the 2^62 guard"
-            )
+    total = sum(map(abs, values))
+    if instance.mode is Mode.EXACT_INT and total >= SUM_GUARD:
+        raise OverflowGuardError(f"sum of |values| = {total} exceeds the 2^62 guard")
+    if not math.isfinite(4 * total):  # bounds the side sums, d and every d - 2*x_a + 2*x_b
+        raise OverflowGuardError(
+            f"sum of |values| = {total} is too large for float mode (4 * sum must be finite)"
+        )
     order = sorted(range(len(values)), key=values.__getitem__)
     return SortedInstance(
         # one C-level gather; itemgetter returns a bare value for one index
@@ -440,7 +425,7 @@ def find_best_swap(
 
 
 def apply_swap(state: PartitionState, n: int, partner: int) -> TraverseOutcome:
-    """Exchange memberships of n and partner and update sums incrementally.
+    """Exchange memberships of n and partner and update d incrementally.
 
     Classifies the new difference as the sweep's outcome so far:
     ZERO_REACHED when it vanished, SIGN_FLIPPED when the sign strictly
@@ -449,10 +434,7 @@ def apply_swap(state: PartitionState, n: int, partner: int) -> TraverseOutcome:
     if state.in_set1[n] == state.in_set1[partner]:
         raise ContractViolationError(f"indices {n} and {partner} are in the same side")
     a, b = (n, partner) if state.in_set1[n] else (partner, n)
-    xa, xb = state.values[a], state.values[b]
     old_d = state.d
-    state.s1 = state.s1 - xa + xb
-    state.s2 = state.s2 - xb + xa
     state.d = _pair_diff(state, a, b)
     state.in_set1[a] = False
     state.in_set1[b] = True
@@ -464,18 +446,16 @@ def apply_swap(state: PartitionState, n: int, partner: int) -> TraverseOutcome:
 
 
 def recompute_sums(state: PartitionState) -> PartitionState:
-    """Recompute s1, s2, d from scratch and refresh the state in place.
+    """Recompute d from scratch and refresh the state in place.
 
     Float mode uses exactly-rounded summation to cancel incremental drift.
-    Exact mode instead asserts the maintained values are already identical;
-    a mismatch means a bug, not input trouble.
+    Exact mode instead asserts the maintained d is already identical; a
+    mismatch means a bug, not input trouble.
     """
-    s1, s2 = _side_sums(state.values, state.in_set1, state.mode)
-    if state.mode is Mode.EXACT_INT and (s1, s2) != (state.s1, state.s2):
-        raise InternalConsistencyError(
-            f"maintained sums ({state.s1}, {state.s2}) != recomputed ({s1}, {s2})"
-        )
-    state.s1, state.s2, state.d = s1, s2, s1 - s2
+    d = _side_diff(state.values, state.in_set1, state.mode)
+    if state.mode is Mode.EXACT_INT and d != state.d:
+        raise InternalConsistencyError(f"maintained d {state.d} != recomputed {d}")
+    state.d = d
     return state
 
 
@@ -605,7 +585,8 @@ def is_locally_optimal_pairswap(state: PartitionState, tolerance: float = 0.0) -
     key = state.values.__getitem__
     side1 = sorted(state.set1_indices(), key=key)
     side2 = sorted(state.set2_indices(), key=key)
-    threshold = abs(state.d) - tolerance
+    # exact when tolerance is 0: an int |d| past 2^53 must not round
+    threshold = abs(state.d) - tolerance if tolerance else abs(state.d)
     p = 0
     for a in side1:
         while p < len(side2) and _pair_diff(state, a, side2[p]) < 0:

@@ -69,10 +69,10 @@ def pairswap_witness(state: PartitionState, tolerance: float = 0.0):
 
     The all-pairs O(N^2) reference for core.is_locally_optimal_pairswap.
     """
-    abs_d = abs(state.d)
+    bound = abs(state.d) - tolerance if tolerance else abs(state.d)
     for a in state.set1_indices():
         for b in state.set2_indices():
-            if abs(state.d - 2 * state.values[a] + 2 * state.values[b]) < abs_d - tolerance:
+            if abs(state.d - 2 * state.values[a] + 2 * state.values[b]) < bound:
                 return a, b
     return None
 
@@ -165,7 +165,9 @@ def reference_local_search(
 
     Locally optimal by construction.  Shares only the initialization with
     the production solver; the search itself is the obvious quadratic scan.
-    May reach a different local optimum than the production solver.
+    May reach a different local optimum than the production solver.  d
+    becomes the very value the swap was chosen on, so |d| strictly falls and
+    the search ends in float mode too.
     """
     t0 = time.perf_counter_ns()
     si = normalize_and_sort(instance)
@@ -173,20 +175,17 @@ def reference_local_search(
     metrics = Metrics()
     while True:
         best_pair = None
-        best_val = abs(state.d)
+        best_d = state.d
         for a in state.set1_indices():
             for b in state.set2_indices():
                 metrics.candidate_evaluations += 1
-                val = abs(state.d - 2 * state.values[a] + 2 * state.values[b])
-                if val < best_val:
-                    best_pair, best_val = (a, b), val
+                new_d = state.d - 2 * state.values[a] + 2 * state.values[b]
+                if abs(new_d) < abs(best_d):
+                    best_pair, best_d = (a, b), new_d
         if best_pair is None:
             break
         a, b = best_pair
-        xa, xb = state.values[a], state.values[b]
-        state.s1 = state.s1 - xa + xb
-        state.s2 = state.s2 + xa - xb
-        state.d = state.s1 - state.s2
+        state.d = best_d
         state.in_set1[a] = False
         state.in_set1[b] = True
         metrics.swaps += 1

@@ -10,14 +10,12 @@ by value, so genuine zero inputs survive the strip.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Union
 
 from .core import (
     Instance,
     InvalidCardinalityError,
     Mode,
     OverflowGuardError,
-    PartitionState,
     SolveReport,
     SolverConfig,
     SUM_GUARD,
@@ -73,39 +71,22 @@ def solve_traditional(
     )
 
 
-def _transfer_optimal(values1, values2, d, tolerance: float):
-    """No single element move across sides strictly shrinks |d|.
+def is_locally_optimal_transfer(result: TraditionalResult, tolerance: float = 0.0) -> bool:
+    """True iff no single element move across the stripped original sides
+    drops |d| below |d| - tolerance.
 
     Moving x out of side 1 sends d to d - 2x; out of side 2, to d + 2x.
     """
-    abs_d = abs(d)
-    for x in values1:
-        if abs(d - 2 * x) < abs_d - tolerance:
-            return False
-    for x in values2:
-        if abs(d + 2 * x) < abs_d - tolerance:
-            return False
-    return True
-
-
-def is_locally_optimal_transfer(
-    result: Union[TraditionalResult, PartitionState], tolerance: float = 0.0
-) -> bool:
-    """Check single-element-transfer local optimality.
-
-    Accepts a TraditionalResult (checked over the stripped original sides)
-    or a bare PartitionState (checked over its two sides directly).
-    """
-    if isinstance(result, TraditionalResult):
-        vals = result.instance.values
-        mode = result.instance.mode
-        side1 = [vals[i] for i in result.part1]
-        side2 = [vals[i] for i in result.part2]
-        d = _sum_values(side1, mode) - _sum_values(side2, mode)
-        return _transfer_optimal(side1, side2, d, tolerance)
-    side1 = [result.values[i] for i in result.set1_indices()]
-    side2 = [result.values[i] for i in result.set2_indices()]
-    return _transfer_optimal(side1, side2, result.d, tolerance)
+    vals = result.instance.values
+    mode = result.instance.mode
+    side1 = [vals[i] for i in result.part1]
+    side2 = [vals[i] for i in result.part2]
+    d = _sum_values(side1, mode) - _sum_values(side2, mode)
+    # exact when tolerance is 0: an int |d| past 2^53 must not round
+    bound = abs(d) - tolerance if tolerance else abs(d)
+    return all(abs(d - 2 * x) >= bound for x in side1) and all(
+        abs(d + 2 * x) >= bound for x in side2
+    )
 
 
 def solve_with_cardinality(

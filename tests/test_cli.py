@@ -162,6 +162,30 @@ def test_solve_text_output(capsys, monkeypatch):
     assert "traverses=" in out
 
 
+def test_verify_is_exact_past_2_53(capsys, monkeypatch):
+    # the first value is 2^60 + 65: a float |d| - 0.0 threshold read an
+    # equal-|d| swap as an improvement and printed FAIL, exit 3
+    code, out, _ = run_cli(capsys, ["solve", "--verify", "--oracle"],
+                           "1152921504606847041 4 15 5 35 27 3 36 7 14", monkeypatch)
+    assert code == 0
+    assert "verified: PASS" in out
+    assert "exact_min: 1152921504606846933 (globally optimal)" in out
+
+
+@pytest.mark.parametrize(
+    "argv, stdin_text, message",
+    [(["solve"], "1e308 1e308 1e308 1e308",
+      "error: sum of |values| = inf is too large for float mode (4 * sum must be finite)"),
+     (["bench", "--family", "geometric", "--p1", "1e6", "--sizes", "16,32,64,128"], None,
+      "error: largest geometric term 1e+06 * 1e+06^63 is not a finite float")],
+)
+def test_float_range_exit_2(capsys, monkeypatch, argv, stdin_text, message):
+    # both ended in an OverflowError traceback
+    code, out, err = run_cli(capsys, argv, stdin_text, monkeypatch)
+    assert code == 2
+    assert out == "" and err == message + "\n"
+
+
 def test_solve_odd_n_exit_2(capsys, monkeypatch):
     code, _, err = run_cli(capsys, ["solve"], "1 2 3", monkeypatch)
     assert code == 2

@@ -2,11 +2,12 @@
 
 import enum
 import math
+import operator
 import random
 from concurrent.futures import ThreadPoolExecutor
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from eqpart.core import (
     ContractViolationError,
@@ -33,6 +34,7 @@ from eqpart.core import (
     traverse_guard,
 )
 from eqpart.oracle import exact_min_diff, local_optima_set, pairswap_witness
+from eqpart.reductions import TraditionalResult, is_locally_optimal_transfer
 from conftest import make_state
 
 ALL_STRATEGIES = [
@@ -108,6 +110,16 @@ def test_sum_overflow_guard():
         normalize_and_sort(Instance((big,) * n, Mode.EXACT_INT))
 
 
+def test_float_range_guard():
+    # 4 * sum(|x|) must stay finite: it bounds every sum and post-swap d
+    top = 1.7976931348623157e308 / 4
+    normalize_and_sort(Instance((top / 2, -top / 2), Mode.FLOAT64))
+    with pytest.raises(OverflowGuardError, match="too large for float mode"):
+        normalize_and_sort(Instance((top, -top), Mode.FLOAT64))
+    with pytest.raises(OverflowGuardError):
+        solve(Instance((1e308,) * 4, Mode.FLOAT64))
+
+
 # ------------------------------------------------------------------- sorting
 
 
@@ -158,7 +170,7 @@ def test_init_identical_elements_all_strategies():
     for cfg in ALL_STRATEGIES:
         st_ = init_partition(si, cfg)
         assert st_.d == 0
-        assert st_.card1 == st_.card2 == 2
+        assert sum(st_.in_set1) == 2
 
 
 def test_init_odd_n_rejected():
@@ -181,10 +193,10 @@ def test_init_consistency(values, strategy_idx):
     si = normalize_and_sort(Instance.from_values(values))
     st_ = init_partition(si, cfg)
     n = len(values)
-    assert st_.card1 == st_.card2 == n // 2
     assert sum(st_.in_set1) == n // 2
-    assert st_.s1 == sum(si.sorted_values[i] for i in st_.set1_indices())
-    assert st_.d == st_.s1 - st_.s2
+    assert st_.d == sum(si.sorted_values[i] for i in st_.set1_indices()) - sum(
+        si.sorted_values[i] for i in st_.set2_indices()
+    )
 
 
 # ---------------------------------------------------------------- _pair_diff
@@ -457,6 +469,40 @@ def test_pairswap_check_matches_all_pairs_reference(case):
     )
 
 
+@st.composite
+def _big_int_states(draw):
+    """Int states with |d| past 2^53 (up to about 2^61.6), where a float
+    threshold would round: up to three large values plus small ones that
+    make near-equal and equal-|d| swaps, zeros included."""
+    big = st.integers(1 << 53, 1 << 60)
+    bigs = draw(st.lists(big | big.map(operator.neg), min_size=1, max_size=3))
+    values = tuple(sorted(bigs + draw(st.lists(st.integers(-40, 40), min_size=1, max_size=10))))
+    in_set1 = draw(st.lists(st.booleans(), min_size=len(values), max_size=len(values)))
+    return PartitionState.from_membership(values, in_set1, Mode.EXACT_INT)
+
+
+@given(_big_int_states())
+# |d| = 2^60 + 200 rounds up to 2^60 + 256: the 0 transfer and the 1 <-> 0
+# swap keep or raise |d| exactly, but not against a rounded threshold
+@example(PartitionState.from_membership((0, 1, 2, (1 << 60) + 203), [True, False, False, True],
+                                        Mode.EXACT_INT))
+@settings(max_examples=300, deadline=None)
+def test_zero_tolerance_verdicts_are_exact_past_2_53(state):
+    side1 = [state.values[i] for i in state.set1_indices()]
+    side2 = [state.values[i] for i in state.set2_indices()]
+    d = sum(side1) - sum(side2)
+    assert state.d == d
+    swap_optimal = not any(abs(d - 2 * a + 2 * b) < abs(d) for a in side1 for b in side2)
+    assert is_locally_optimal_pairswap(state) == swap_optimal
+    assert (pairswap_witness(state) is None) == swap_optimal
+    result = TraditionalResult(state.set1_indices(), state.set2_indices(), abs(d),
+                               Instance(state.values, Mode.EXACT_INT), None)
+    transfer_optimal = not any(abs(d - 2 * x) < abs(d) for x in side1) and not any(
+        abs(d + 2 * x) < abs(d) for x in side2
+    )
+    assert is_locally_optimal_transfer(result) == transfer_optimal
+
+
 # -------------------------------------------------------------- recompute_sums
 
 
@@ -467,7 +513,7 @@ def test_recompute_exact_matches_after_solving():
 
 def test_recompute_detects_corruption():
     state = make_state([1, 2, 3, 8], {0, 1})
-    state.s1 += 1
+    state.d += 2
     with pytest.raises(InternalConsistencyError):
         recompute_sums(state)
 
@@ -516,7 +562,7 @@ def test_solve_invariants(values, strategy_idx):
         assert e.cursor > e.partner
         assert r.partition.values[e.cursor] > r.partition.values[e.partner]
     # cardinality conserved, traverse bound holds
-    assert r.partition.card1 == r.partition.card2 == n // 2
+    assert sum(r.partition.in_set1) == n // 2
     assert r.metrics.traverses <= n + 2
     assert r.objective == abs(r.partition.d)
 

@@ -1,6 +1,10 @@
 """Tests for the exhaustive oracles."""
 
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -9,6 +13,7 @@ from eqpart.core import (
     InitStrategy,
     Instance,
     InvalidCardinalityError,
+    Mode,
     SolverConfig,
     is_locally_optimal_pairswap,
 )
@@ -21,6 +26,7 @@ from eqpart.oracle import (
     exact_min_diff_unconstrained,
     local_optima_set,
     oracle_result,
+    pairswap_witness,
     reference_local_search,
 )
 
@@ -111,6 +117,32 @@ def test_reference_search_reaches_a_local_optimum(values):
     assert is_locally_optimal_pairswap(r.partition)
     assert r.objective in local_optima_set(inst)
     assert r.objective >= exact_min_diff(inst)
+
+
+def test_reference_search_terminates_on_floats():
+    # -6.4 - 1.2 + 14.0 rounds to 6.3999999999999995 < 6.4, so the pair is
+    # swapped; re-deriving d as s1 - s2 then undid it forever.  A child
+    # interpreter turns such a hang into a failure.
+    code = ("from eqpart.core import Instance; from eqpart.oracle import reference_local_search; "
+            "r = reference_local_search(Instance.from_values([0.6, 7.0])); "
+            "print(r.objective, r.metrics.swaps)")
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parent.parent / "src"))
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, check=True, timeout=60)
+    assert proc.stdout.split() == ["6.3999999999999995", "1"]
+
+
+@given(
+    st.lists(st.sampled_from([0.1, 0.2, 0.3, 1e-9, 0.6, 0.9, 7.0, 21.0]), min_size=2,
+             max_size=10).filter(lambda v: len(v) % 2 == 0),
+    st.sampled_from(list(InitStrategy)),
+)
+@settings(max_examples=200, deadline=None)
+def test_reference_search_reaches_a_local_optimum_on_floats(values, strategy):
+    inst = Instance(tuple(values), Mode.FLOAT64)
+    r = reference_local_search(inst, SolverConfig(init_strategy=strategy, seed=3))
+    assert pairswap_witness(r.partition) is None
+    assert r.objective == abs(r.partition.d)
 
 
 def test_unconstrained_brute_force():

@@ -15,13 +15,13 @@ from eqpart.core import (
 )
 from eqpart.oracle import exact_min_diff_unconstrained
 from eqpart.reductions import (
+    TraditionalResult,
     affine_transform,
     is_locally_optimal_transfer,
     solve_traditional,
     solve_with_cardinality,
     to_equal_cardinality,
 )
-from conftest import make_state
 
 ALL_STRATEGIES = [
     SolverConfig(init_strategy=InitStrategy.ALTERNATING),
@@ -63,16 +63,20 @@ def test_solve_traditional_keeps_genuine_zeros():
     assert res.objective == 5
 
 
+def _traditional_result(values, part1):
+    """A TraditionalResult with side 1 = the part1 indices of values."""
+    part2 = tuple(i for i in range(len(values)) if i not in part1)
+    d = sum(values[i] for i in part1) - sum(values[i] for i in part2)
+    return TraditionalResult(tuple(part1), part2, abs(d), Instance.from_values(values), None)
+
+
 def test_transfer_checker_examples():
     # {1,2} | {3}: difference zero, trivially transfer-optimal
-    state = make_state([1, 2, 3], {0, 1})
-    assert is_locally_optimal_transfer(state)
+    assert is_locally_optimal_transfer(_traditional_result([1, 2, 3], (0, 1)))
     # everything on one side: moving 3 drops |d| from 6 to 0
-    state = make_state([1, 2, 3], {0, 1, 2})
-    assert not is_locally_optimal_transfer(state)
+    assert not is_locally_optimal_transfer(_traditional_result([1, 2, 3], (0, 1, 2)))
     # {3} | {1,1}: d=1; transfers give 5, 3, 3
-    state = make_state([1, 1, 3], {2})
-    assert is_locally_optimal_transfer(state)
+    assert is_locally_optimal_transfer(_traditional_result([1, 1, 3], (2,)))
 
 
 def test_traditional_results_pass_both_checkers():
@@ -101,21 +105,21 @@ def test_solve_with_cardinality_examples():
     inst = Instance.from_values([1, 2, 3, 4])
     r = solve_with_cardinality(inst, 1, SolverConfig(init_strategy=InitStrategy.GREEDY))
     assert r.objective == 2
-    assert r.partition.card1 == 1
+    assert sum(r.partition.in_set1) == 1
     assert is_locally_optimal_pairswap(r.partition)
 
     r = solve_with_cardinality(inst, 2, SolverConfig())
     assert r.objective == solve(inst).objective == 0
 
     r = solve_with_cardinality(inst, 3, SolverConfig(init_strategy=InitStrategy.SPLIT_HALF))
-    assert r.partition.card1 == 3
+    assert sum(r.partition.in_set1) == 3
     assert len(r.original_set1) == 3
 
 
 def test_solve_with_cardinality_range_and_parity():
     inst = Instance.from_values([1, 2, 3, 4, 5])  # odd N is fine with explicit k
     r = solve_with_cardinality(inst, 2, SolverConfig())
-    assert r.partition.card1 == 2
+    assert sum(r.partition.in_set1) == 2
     with pytest.raises(InvalidCardinalityError):
         solve_with_cardinality(inst, 0, SolverConfig())
     with pytest.raises(InvalidCardinalityError):
@@ -180,7 +184,7 @@ def test_cardinality_is_conserved(values, k, strategy_idx):
     if k >= len(values):
         k = len(values) - 1
     r = solve_with_cardinality(Instance.from_values(values), k, ALL_STRATEGIES[strategy_idx])
-    assert r.partition.card1 == k
+    assert sum(r.partition.in_set1) == k
     assert len(r.original_set1) == k
     assert is_locally_optimal_pairswap(r.partition)
 
