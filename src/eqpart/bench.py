@@ -72,6 +72,10 @@ class GeneratorSpec:
             raise ValueError(f"unknown family {self.family!r}; expected one of {FAMILIES}")
         if self.n < 2:
             raise ValueError("n must be at least 2")
+        for name in ("p1", "p2"):
+            value = getattr(self, name)
+            if isinstance(value, float) and not math.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value}")
         if self.family in ("uniform_int", "uniform_float") and self.p1 > self.p2:
             raise ValueError(f"empty range [{self.p1}, {self.p2}]")
         if self.family == "near_equal" and self.p2 < 0:

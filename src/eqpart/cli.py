@@ -2,8 +2,7 @@
 
 Exit codes: 0 success, 1 malformed input, 2 constraint violation (odd N,
 cardinality range, oracle cap, overflow guard), 3 internal invariant
-failure.  Setting EQPART_VERIFY_WINDOW=1 turns on the debug cross-check of
-every windowed partner scan against a full scan.
+failure.
 """
 
 from __future__ import annotations
@@ -11,7 +10,6 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import os
 import re
 import sys
 
@@ -110,11 +108,7 @@ def _read_instance(args) -> Instance:
 
 
 def _config_from_args(args) -> SolverConfig:
-    return SolverConfig(
-        init_strategy=InitStrategy(args.init),
-        seed=args.seed,
-        verify_window=os.environ.get("EQPART_VERIFY_WINDOW") == "1",
-    )
+    return SolverConfig(init_strategy=InitStrategy(args.init), seed=args.seed)
 
 
 def _metrics_dict(report: SolveReport) -> dict:

@@ -66,8 +66,8 @@ class ContractViolationError(PartitionError):
 
 
 class InternalConsistencyError(PartitionError):
-    """An internal invariant broke: nontermination guard, sum mismatch,
-    or a windowed scan that missed a better partner (debug mode)."""
+    """An internal invariant broke, such as the nontermination guard or a
+    maintained d that disagrees with its recomputation."""
 
 
 @dataclass(frozen=True)
@@ -105,13 +105,11 @@ class Instance:
             object.__setattr__(self, "values", floats)
 
     @staticmethod
-    def from_values(values, mode: Optional[Mode] = None) -> "Instance":
-        """Build an instance, defaulting to exact mode when all values are ints."""
+    def from_values(values) -> "Instance":
+        """Build an instance in exact mode when all values are ints, else float."""
         values = tuple(values)
-        if mode is None:
-            all_int = all(isinstance(x, int) and not isinstance(x, bool) for x in values)
-            mode = Mode.EXACT_INT if all_int else Mode.FLOAT64
-        return Instance(values, mode)
+        all_int = all(isinstance(x, int) and not isinstance(x, bool) for x in values)
+        return Instance(values, Mode.EXACT_INT if all_int else Mode.FLOAT64)
 
     def __len__(self) -> int:
         return len(self.values)
@@ -137,7 +135,6 @@ class SolverConfig:
     init_strategy: InitStrategy = InitStrategy.ALTERNATING
     seed: Optional[int] = None
     traverse_guard_factor: int = 1
-    verify_window: bool = False
     collect_trace: bool = False
 
     def __post_init__(self):
@@ -294,23 +291,26 @@ def _initial_membership(si: SortedInstance, cfg: SolverConfig, card1: int) -> li
     return in_set1
 
 
-def init_partition(
-    si: SortedInstance, cfg: SolverConfig, card1: Optional[int] = None
-) -> PartitionState:
-    """Build the starting partition.
-
-    card1 defaults to N/2 (N must be even); an explicit card1 in 1..N-1
-    requests an unequal split with that side-1 cardinality.
-    """
-    n = len(si)
+def side1_cardinality(n: int, card1: Optional[int]) -> int:
+    """Side-1 size for N elements: N/2 when card1 is None (N must be even
+    and at least 2), else card1, which must lie in 1..N-1."""
     if card1 is None:
         if n < 2 or n % 2 != 0:
             raise InvalidCardinalityError(
                 f"equal-cardinality solving needs even N >= 2, got N={n}"
             )
-        card1 = n // 2
-    elif not 1 <= card1 <= n - 1:
+        return n // 2
+    if not 1 <= card1 <= n - 1:
         raise InvalidCardinalityError(f"cardinality {card1} out of range 1..{n - 1}")
+    return card1
+
+
+def init_partition(
+    si: SortedInstance, cfg: SolverConfig, card1: Optional[int] = None
+) -> PartitionState:
+    """Build the starting partition with side1_cardinality(N, card1) elements
+    on side 1."""
+    card1 = side1_cardinality(len(si), card1)
     return PartitionState.from_membership(
         si.sorted_values, _initial_membership(si, cfg, card1), si.mode
     )
@@ -328,26 +328,19 @@ def _pair_diff(state: PartitionState, cursor: int, partner: int):
     return state.d - 2 * state.values[partner] + 2 * state.values[cursor]
 
 
-def find_best_swap(
-    state: PartitionState,
-    n: int,
-    metrics: Optional[Metrics] = None,
-    verify_window: bool = False,
-    floor: Optional[int] = None,
-    ties: Optional[dict] = None,
-):
+def find_best_swap(state: PartitionState, n: int, floor: int, ties: dict, metrics: Metrics):
     """Best strictly improving partner for sorted index n, or None.
 
     Elements outside the larger-sum side (and any cursor when d is zero)
     cannot start an improving swap, so they are skipped in O(1); the skip
-    costs one candidate evaluation.  Otherwise the window is bounded by the
-    floor, the highest index below n on the cursor's side (-1 if none).  A
-    same-side element bounds the window because its value dominates every
-    opposing value below it, except for opposing elements tied with it:
-    a same-side tie proves nothing about them (swapping equal values never
-    changes d).  So the window is the opposing run (floor, n-1] plus the tie
-    group, the opposing elements below floor whose value equals
-    values[floor].
+    costs one candidate evaluation.  Otherwise the window is bounded by
+    `floor`, the highest index below n on the cursor's side (-1 if none),
+    which run_traverse keeps for its sweep.  A same-side element bounds the
+    window because its value dominates every opposing value below it,
+    except for opposing elements tied with it: a same-side tie proves
+    nothing about them (swapping equal values never changes d).  So the
+    window is the opposing run (floor, n-1] plus the tie group, the
+    opposing elements below floor whose value equals values[floor].
 
     The window is scanned upward.  The post-swap d is monotone in the
     partner's value, float rounding included (one rounded addition of a
@@ -355,34 +348,23 @@ def find_best_swap(
     scan stops after the first partner whose d' is zero or has d's sign, and
     keeps the first strict minimum, i.e. the smallest partner index on ties.
     All tie-group members share one d', so only the lowest opposing member
-    is evaluated; a pointer per value group (keyed by the group's first
-    index, found by bisection) walks up to it, and each step costs one
-    candidate evaluation.
-
-    run_traverse passes the sweep's floor and its `ties` pointers.  Called
-    alone, the floor is found by walking down from n-1 (uncounted, like a
-    same-side step) and the pointers start fresh.  Within a sweep, elements
+    is evaluated.  `ties` holds the sweep's pointer per value group (keyed
+    by the group's first index, found by bisection), which walks up to it;
+    each step costs one candidate evaluation.  Within a sweep, elements
     below the floor only move from the opposing to the larger side, so each
     pointer only moves up: the tie groups cost O(N) per sweep in total.
 
     Returns (partner, new_abs_diff) for the minimizer when it strictly beats
-    |d|.  verify_window cross-checks the scan against all opposing partners
-    below n and raises InternalConsistencyError if the scan missed a
-    strictly better one.
+    |d|.
     """
     d = state.d
     in_set1 = state.in_set1
     side = in_set1[n]
     if (d > 0) != side or d == 0:
-        if metrics is not None:
-            metrics.candidate_evaluations += 1
+        metrics.candidate_evaluations += 1
         return None
 
     values = state.values
-    if floor is None:
-        floor = n - 1
-        while floor >= 0 and in_set1[floor] != side:
-            floor -= 1
     positive = d > 0
     evals = 0
     best_idx = None
@@ -390,12 +372,11 @@ def find_best_swap(
     window = range(floor + 1, n)
     if floor > 0 and values[floor - 1] == values[floor]:
         group = bisect.bisect_left(values, values[floor], 0, floor)
-        q = group if ties is None else ties.get(group, group)
+        q = ties.get(group, group)
         while q < floor and in_set1[q] == side:
             q += 1
             evals += 1
-        if ties is not None:
-            ties[group] = q
+        ties[group] = q
         if q < floor:
             window = itertools.chain((q,), window)
     for j in window:
@@ -406,18 +387,7 @@ def find_best_swap(
             best_idx, best_val = j, val
         if new_d == 0 or (new_d > 0) == positive:
             break
-    if metrics is not None:
-        metrics.candidate_evaluations += evals
-
-    if verify_window:
-        reference = best_val if best_val is not None else abs(d)
-        for q in range(n):
-            if in_set1[q] == side:
-                continue
-            if abs(_pair_diff(state, n, q)) < reference:
-                raise InternalConsistencyError(
-                    f"window scan at cursor {n} missed a better partner {q}"
-                )
+    metrics.candidate_evaluations += evals
 
     if best_idx is not None and best_val < abs(d):
         return best_idx, best_val
@@ -481,6 +451,7 @@ def run_traverse(
     (everything before it has the opposite sign), so it costs one evaluation
     per index the floor passes, plus one; a cursor that does not swap moves
     the floor up to itself; and the tie-group pointers only move up.
+    The sweep reads nothing from cfg.
     """
     metrics.traverses += 1
     if state.mode is Mode.FLOAT64:
@@ -490,7 +461,7 @@ def run_traverse(
     floor = -1
     ties: dict = {}
     for n in range(len(state.values)):
-        hit = find_best_swap(state, n, metrics, cfg.verify_window, floor, ties)
+        hit = find_best_swap(state, n, floor, ties, metrics)
         if hit is None:
             if state.in_set1[n] == (state.d > 0):
                 floor = n

@@ -1,9 +1,9 @@
 """Exhaustive ground-truth solvers for small instances.
 
 Everything here enumerates or scans all pairs.  The only logic shared with
-the production solver is setup: the sort, the initial partition and the
-state constructor (PartitionState.from_membership, with its exact sums).
-The searches, swap differences and local-optimality tests are written out
+the production solver is setup: the cardinality rule, the sort, the initial
+partition and the exact side sums (core._side_diff, which the state
+constructor PartitionState.from_membership uses too).  The searches, swap differences and local-optimality tests are written out
 again here, so these routines serve as the independent check of its output.  The
 equal-cardinality enumeration caps at N = 24 (C(24,12)/2 is about 1.35M
 bipartitions) and refuses larger inputs outright.
@@ -14,7 +14,7 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import combinations, product
 from typing import Iterator, Optional
 
 from .core import (
@@ -25,9 +25,10 @@ from .core import (
     PartitionState,
     SolveReport,
     SolverConfig,
-    _sum_values,
+    _side_diff,
     init_partition,
     normalize_and_sort,
+    side1_cardinality,
 )
 
 ENUMERATION_CAP = 24
@@ -45,15 +46,8 @@ class OracleResult:
 
 
 def _check_enumerable(n: int, card1: Optional[int]) -> int:
-    """Side-1 size to enumerate: N/2 by default, else card1 in 1..N-1."""
-    if card1 is None:
-        if n < 2 or n % 2 != 0:
-            raise InvalidCardinalityError(
-                f"equal-cardinality enumeration needs even N >= 2, got {n}"
-            )
-        card1 = n // 2
-    elif not 1 <= card1 <= n - 1:
-        raise InvalidCardinalityError(f"cardinality {card1} out of range 1..{n - 1}")
+    """Side-1 size to enumerate (core.side1_cardinality), within the cap."""
+    card1 = side1_cardinality(n, card1)
     if n > ENUMERATION_CAP:
         count = f"C({n},{card1})/2" if 2 * card1 == n else f"C({n},{card1})"
         raise OracleCapError(
@@ -102,12 +96,12 @@ def exact_min_diff(instance: Instance):
     return min(abs(s.d) for s in enumerate_equal_partitions(instance))
 
 
-def local_optima_set(instance: Instance, tolerance: float = 0.0) -> tuple:
+def local_optima_set(instance: Instance) -> tuple:
     """Sorted objective values of all pair-swap locally optimal bipartitions."""
     vals = {
         abs(s.d)
         for s in enumerate_equal_partitions(instance)
-        if pairswap_witness(s, tolerance) is None
+        if pairswap_witness(s) is None
     }
     return tuple(sorted(vals))
 
@@ -136,25 +130,19 @@ def exact_min_diff_unconstrained(instance: Instance):
     """Brute-force optimum of the free-cardinality partition problem.
 
     Scans all 2^(N-1) unordered bipartitions (element 0 pinned to side 1);
-    sides may be empty.
+    sides may be empty.  Each is scored from its two exactly summed sides,
+    as the solver scores its answer, so no float answer falls below it.
     """
     n = len(instance)
     if n < 1:
         raise InvalidCardinalityError("need at least one element")
     if n > ENUMERATION_CAP:
         raise OracleCapError(f"N={n} exceeds the enumeration cap of {ENUMERATION_CAP}")
-    values = instance.values
-    total = _sum_values(values, instance.mode)
-    best = None
-    for mask in range(1 << (n - 1)):
-        s1 = values[0]
-        for i in range(n - 1):
-            if mask >> i & 1:
-                s1 += values[i + 1]
-        obj = abs(2 * s1 - total)
-        if best is None or obj < best:
-            best = obj
-    return best
+    values, mode = instance.values, instance.mode
+    return min(
+        abs(_side_diff(values, (True, *rest), mode))
+        for rest in product((True, False), repeat=n - 1)
+    )
 
 
 def reference_local_search(

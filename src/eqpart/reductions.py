@@ -71,9 +71,9 @@ def solve_traditional(
     )
 
 
-def is_locally_optimal_transfer(result: TraditionalResult, tolerance: float = 0.0) -> bool:
+def is_locally_optimal_transfer(result: TraditionalResult) -> bool:
     """True iff no single element move across the stripped original sides
-    drops |d| below |d| - tolerance.
+    shrinks |d|.
 
     Moving x out of side 1 sends d to d - 2x; out of side 2, to d + 2x.
     """
@@ -82,8 +82,7 @@ def is_locally_optimal_transfer(result: TraditionalResult, tolerance: float = 0.
     side1 = [vals[i] for i in result.part1]
     side2 = [vals[i] for i in result.part2]
     d = _sum_values(side1, mode) - _sum_values(side2, mode)
-    # exact when tolerance is 0: an int |d| past 2^53 must not round
-    bound = abs(d) - tolerance if tolerance else abs(d)
+    bound = abs(d)
     return all(abs(d - 2 * x) >= bound for x in side1) and all(
         abs(d + 2 * x) >= bound for x in side2
     )

@@ -205,6 +205,15 @@ def test_solve_traditional(capsys, monkeypatch):
     assert "verified: PASS" in out
 
 
+def test_solve_traditional_float_oracle(capsys, monkeypatch):
+    # the brute force rounded 2*s1 - total and printed 0.10000000000000003
+    # next to "locally optimal only", below the answer it had just checked
+    code, out, _ = run_cli(capsys, ["solve-traditional", "--oracle"], "0.1 0.2", monkeypatch)
+    assert code == 0
+    assert "objective: 0.1\n" in out
+    assert "exact_min: 0.1 (globally optimal)" in out
+
+
 def test_json_schema_and_round_trip(capsys, monkeypatch):
     values = [5, 9, 1, 14, 20, 3]
     code, out, _ = run_cli(
@@ -353,22 +362,18 @@ def test_bench_split_init_aborts_exit_3(capsys, work_bound_breach):
      ("uniform-float", "10", "1", "error: empty range [10, 1]"),
      ("uniform-float", "0.5", "0.25", "error: empty range [0.5, 0.25]"),
      ("near-equal", "100", "-1", "error: epsilon must be non-negative"),
-     ("geometric", "-2", "1", "error: ratio and scale must be positive")],
+     ("geometric", "-2", "1", "error: ratio and scale must be positive"),
+     ("uniform-int", "1", "inf", "error: p2 must be finite, got inf"),
+     ("uniform-int", "-inf", "10", "error: p1 must be finite, got -inf")],
 )
 def test_bench_rejects_empty_family_ranges_exit_2(capsys, family, p1, p2, message):
+    # --p1=VALUE: argparse would read a separate "-inf" as an option
     code, out, err = run_cli(
-        capsys, ["bench", "--family", family, "--p1", p1, "--p2", p2,
+        capsys, ["bench", "--family", family, f"--p1={p1}", f"--p2={p2}",
                  "--sizes", "16,32,64,128", "--reps", "1"],
     )
     assert code == 2
     assert out == "" and err == message + "\n"
-
-
-def test_verify_window_env(capsys, monkeypatch):
-    monkeypatch.setenv("EQPART_VERIFY_WINDOW", "1")
-    code, out, _ = run_cli(capsys, ["solve", "--init", "split"], "5 9 1 14 20 3", monkeypatch)
-    assert code == 0
-    assert "objective:" in out
 
 
 def test_float_mode_flag(capsys, monkeypatch):

@@ -1,14 +1,17 @@
 """Unit and property tests for the core solver."""
 
+import contextlib
 import enum
 import math
 import operator
 import random
 from concurrent.futures import ThreadPoolExecutor
+from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from eqpart import core
 from eqpart.core import (
     ContractViolationError,
     InitStrategy,
@@ -51,7 +54,7 @@ ALL_STRATEGIES = [
 def test_instance_mode_autodetect():
     assert Instance.from_values([1, 2]).mode is Mode.EXACT_INT
     assert Instance.from_values([1.5, 2]).mode is Mode.FLOAT64
-    assert Instance.from_values([1, 2], Mode.FLOAT64).values == (1.0, 2.0)
+    assert Instance((1, 2), Mode.FLOAT64).values == (1.0, 2.0)
 
 
 def test_instance_guards():
@@ -223,38 +226,71 @@ def test_pair_diff_examples():
 # ------------------------------------------------------------ find_best_swap
 
 
+@contextlib.contextmanager
+def checked_scans():
+    """Check every partner scan, in run_traverse too, against a full scan.
+
+    Patches core.find_best_swap (run_traverse looks it up at call time).
+    Over every opposing partner below the cursor, each scored with
+    _pair_diff: when one beats |d|, the scan must return the minimum |d'|
+    and a partner that attains it; otherwise it must return None.  Exact
+    for int states, which is what the tests below use.
+    """
+    scan = core.find_best_swap
+
+    def checked(state, n, floor, ties, metrics):
+        side = state.in_set1[n]
+        partners = [q for q in range(n) if state.in_set1[q] != side]
+        best = min((abs(_pair_diff(state, n, q)) for q in partners), default=None)
+        hit = scan(state, n, floor, ties, metrics)
+        if best is not None and best < abs(state.d):
+            assert hit is not None and hit[1] == best, (n, floor, hit, best)
+            assert hit[0] in partners and abs(_pair_diff(state, n, hit[0])) == best
+        else:
+            assert hit is None, (n, floor, hit)
+        return hit
+
+    with mock.patch.object(core, "find_best_swap", checked):
+        yield
+
+
 def test_find_best_swap_no_improvement():
     # side1 = {2,3}, side2 = {1,8}, d=-4; cursor at 8: candidates 3 -> 6, 2 -> 8
     state = make_state([1, 2, 3, 8], {1, 2})
     assert state.d == -4
     metrics = Metrics()
-    assert find_best_swap(state, 3, metrics) is None
+    # floor 0: the highest side-2 index below the cursor
+    assert find_best_swap(state, 3, 0, {}, metrics) is None
     assert metrics.candidate_evaluations == 2  # window stops before index 0
 
 
 def test_find_best_swap_hit():
     state = make_state([1, 2, 3, 8], {0, 2})  # alternating, d=-6
     metrics = Metrics()
-    assert find_best_swap(state, 1, metrics) == (0, 4)
+    # floor -1: no side-2 index below the cursor
+    assert find_best_swap(state, 1, -1, {}, metrics) == (0, 4)
     assert metrics.candidate_evaluations == 1
 
 
 def test_find_best_swap_zero_diff():
     state = make_state([5, 5], {0})
-    assert find_best_swap(state, 1) is None
+    # floor -1: no side-2 index below the cursor
+    assert find_best_swap(state, 1, -1, {}, Metrics()) is None
 
 
 def test_find_best_swap_smaller_side_skips_with_one_eval():
     state = make_state([1, 2, 3, 8], {0, 2})  # d=-6, larger side is side 2
     metrics = Metrics()
-    assert find_best_swap(state, 2, metrics) is None  # value 3 is in side 1
+    # floor 0: the highest side-1 index below the cursor (never read on a skip)
+    assert find_best_swap(state, 2, 0, {}, metrics) is None  # value 3 is in side 1
     assert metrics.candidate_evaluations == 1
 
 
 def test_find_best_swap_tie_picks_smallest_index():
     # duplicated partner values make equal improving minimizers
     state = make_state([2, 2, 6, 8], {2, 3})  # d = 10
-    hit = find_best_swap(state, 2)
+    # floor -1: no side-1 index below the cursor
+    hit = find_best_swap(state, 2, -1, {}, Metrics())
     assert hit == (0, 2)  # indices 1 and 0 tie at |10-12+4| = 2; tie -> 0
 
 
@@ -263,22 +299,26 @@ def test_find_best_swap_window_stops_at_same_side():
     state = make_state([1, 2, 3, 100], {1, 3})
     assert state.d == 98  # (2 + 100) - (1 + 3)
     metrics = Metrics()
-    hit = find_best_swap(state, 3, metrics)
+    # floor 1: the highest side-1 index below the cursor
+    hit = find_best_swap(state, 3, 1, {}, metrics)
     assert metrics.candidate_evaluations == 1  # only index 2 scanned
     assert hit == (2, abs(98 - 200 + 6))
 
 
 def test_find_best_swap_tie_group_below_floor():
-    # d = 2, larger side 1 = {0, 3, 6, 7}; cursor 6 (value 2) has floor 3.
-    # Opposing 1s sit in the run (4, 5) and below the floor (1, 2), all
-    # giving d' = 0: the lowest opposing tie below the floor wins, reached
-    # by one pointer step over the same-side index 0.
+    # d = 2, larger side 1 = {0, 3, 6, 7}; cursor 6 (value 2) has floor 3,
+    # the highest side-1 index below it.  Opposing 1s sit in the run (4, 5)
+    # and below the floor (1, 2), all giving d' = 0: the lowest opposing tie
+    # below the floor wins, reached by one pointer step over the same-side
+    # index 0.
     state = make_state([1, 1, 1, 1, 1, 1, 2, 2], {0, 3, 6, 7})
     assert state.d == 2
     metrics = Metrics()
-    assert find_best_swap(state, 6, metrics, verify_window=True) == (1, 0)
+    ties = {}
+    with checked_scans():
+        assert core.find_best_swap(state, 6, 3, ties, metrics) == (1, 0)
     assert metrics.candidate_evaluations == 2  # one pointer step, one evaluation
-    assert find_best_swap(state, 6, Metrics(), floor=3, ties={}) == (1, 0)
+    assert ties == {0: 1}  # the group's pointer rests on its lowest opposing member
 
 
 def test_run_traverse_tie_group_below_floor():
@@ -290,8 +330,9 @@ def test_run_traverse_tie_group_below_floor():
     assert state.d == -6
     metrics = Metrics()
     trace = []
-    cfg = SolverConfig(verify_window=True)
-    assert run_traverse(state, cfg, metrics, trace) is TraverseOutcome.COMPLETED
+    with checked_scans():
+        outcome = run_traverse(state, SolverConfig(), metrics, trace)
+    assert outcome is TraverseOutcome.COMPLETED
     assert [(e.cursor, e.partner, e.d_after) for e in trace] == [(5, 0, -4), (6, 1, -2)]
     # 4 skips + cursor 4 (1) + cursor 5 (1) + cursor 6 (1 step, 1 evaluation)
     # + cursor 7 (1 step, the tie at index 2, then run indices 5 and 6)
@@ -579,16 +620,17 @@ def test_solve_lands_on_an_enumerated_local_optimum(values, strategy_idx):
     assert r.objective in local_optima_set(inst)
 
 
-@given(even_int_lists, st.sampled_from(range(4)))
+# a four-letter alphabet makes tie groups below the floor the common case
+small_alphabet_lists = st.lists(st.integers(0, 3), min_size=4, max_size=16).filter(
+    lambda v: len(v) % 2 == 0
+)
+
+
+@given(st.one_of(even_int_lists, small_alphabet_lists), st.sampled_from(range(4)))
 @settings(max_examples=100, deadline=None)
 def test_window_scan_is_sound(values, strategy_idx):
-    cfg_base = ALL_STRATEGIES[strategy_idx]
-    cfg = SolverConfig(
-        init_strategy=cfg_base.init_strategy,
-        seed=cfg_base.seed,
-        verify_window=True,
-    )
-    solve(Instance.from_values(values), cfg)  # debug cross-check must not raise
+    with checked_scans():
+        solve(Instance.from_values(values), ALL_STRATEGIES[strategy_idx])
 
 
 @given(

@@ -44,11 +44,12 @@ def fence(heading):
 
 
 def cli_examples():
-    """(command line, shown output lines) for each `$ echo ... | eqpart ...` line."""
+    """(command line, shown output lines) for each `$ echo ... | eqpart ...`
+    and `$ eqpart ...` line."""
     examples = []
     for block in fence("CLI").split("\n\n"):
         command, *shown = block.strip().splitlines()
-        if command.startswith("$ echo "):
+        if command.startswith(("$ echo ", "$ eqpart ")):
             examples.append(pytest.param(command[2:], shown, id=command[2:]))
     return examples
 
@@ -56,10 +57,12 @@ def cli_examples():
 @pytest.mark.parametrize("command, shown", cli_examples())
 def test_readme_cli_example(command, shown, capsys, monkeypatch):
     words = shlex.split(command)
-    assert words[0] == "echo" and words[2:4] == ["|", "eqpart"], command
-    stdin = io.BytesIO((words[1] + "\n").encode())
-    monkeypatch.setattr(sys, "stdin", type("S", (), {"buffer": stdin})())
-    assert main(words[4:]) == 0
+    if words[0] == "echo":
+        assert words[2:4] == ["|", "eqpart"], command
+        stdin = io.BytesIO((words[1] + "\n").encode())
+        monkeypatch.setattr(sys, "stdin", type("S", (), {"buffer": stdin})())
+        words = words[3:]
+    assert main(words[1:]) == 0
     out = capsys.readouterr().out.splitlines()
     if "..." not in shown:
         assert len(out) == len(shown)
@@ -74,7 +77,9 @@ def test_readme_cli_example(command, shown, capsys, monkeypatch):
 
 
 def test_readme_cli_examples_found():
-    assert len(cli_examples()) >= 4
+    commands = [example.values[0] for example in cli_examples()]
+    assert len(commands) >= 5
+    assert any(c.startswith("eqpart bench ") and c.endswith("--format csv") for c in commands)
 
 
 def test_readme_library_example():
