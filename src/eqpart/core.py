@@ -263,8 +263,7 @@ def _initial_membership(si: SortedInstance, cfg: SolverConfig, card1: int) -> li
             if (i * card1) % n < card1:
                 in_set1[i] = True
     elif cfg.init_strategy is InitStrategy.SPLIT_HALF:
-        for i in range(card1):
-            in_set1[i] = True
+        in_set1 = [True] * card1 + [False] * (n - card1)
     elif cfg.init_strategy is InitStrategy.RANDOM:
         rng = random.Random(cfg.seed)
         for i in rng.sample(range(n), card1):
@@ -320,8 +319,9 @@ def _pair_diff(state: PartitionState, cursor: int, partner: int):
     """Signed d after swapping cursor/partner (opposite sides, unchecked).
 
     Evaluated left to right as d - 2*x_a + 2*x_b, x_a the side-1 value: the
-    one formula for a post-swap difference, shared by the partner scan, the
-    swap itself and the local-optimality check, so all three round alike.
+    one formula for a post-swap difference.  The swap applies it; the
+    partner scan and the local-optimality check inline it in the same
+    order, hoisting the loop-invariant term, so all three round alike.
     """
     if state.in_set1[cursor]:
         return state.d - 2 * state.values[cursor] + 2 * state.values[partner]
@@ -331,25 +331,28 @@ def _pair_diff(state: PartitionState, cursor: int, partner: int):
 def find_best_swap(state: PartitionState, n: int, floor: int, ties: dict, metrics: Metrics):
     """Best strictly improving partner for sorted index n, or None.
 
-    Elements outside the larger-sum side (and any cursor when d is zero)
-    cannot start an improving swap, so they are skipped in O(1); the skip
-    costs one candidate evaluation.  Otherwise the window is bounded by
-    `floor`, the highest index below n on the cursor's side (-1 if none),
-    which run_traverse keeps for its sweep.  A same-side element bounds the
-    window because its value dominates every opposing value below it,
-    except for opposing elements tied with it: a same-side tie proves
-    nothing about them (swapping equal values never changes d).  So the
-    window is the opposing run (floor, n-1] plus the tie group, the
-    opposing elements below floor whose value equals values[floor].
+    run_traverse calls this only for cursors on the larger-sum side while d
+    is nonzero; it skips every other cursor itself, since none can start an
+    improving swap.  The window is bounded by `floor`, the highest index
+    below n on the cursor's side (-1 if none), which run_traverse keeps for
+    its sweep.  A same-side element bounds the window because its value
+    dominates every opposing value below it, except for opposing elements
+    tied with it: a same-side tie proves nothing about them (swapping equal
+    values never changes d).  So the window is the opposing run (floor,
+    n-1] plus the tie group, the opposing elements below floor whose value
+    equals values[floor].
 
-    The window is scanned upward.  The post-swap d is monotone in the
-    partner's value, float rounding included (one rounded addition of a
-    constant to a monotone term), so |d'| is V-shaped over the window: the
-    scan stops after the first partner whose d' is zero or has d's sign, and
-    keeps the first strict minimum, i.e. the smallest partner index on ties.
-    All tie-group members share one d', so only the lowest opposing member
-    is evaluated.  `ties` holds the sweep's pointer per value group (keyed
-    by the group's first index, found by bisection), which walks up to it;
+    The window is scanned upward.  Each d' is _pair_diff's left-to-right
+    d - 2*x_a + 2*x_b with the cursor's term hoisted: c = d - 2*x_n when
+    the cursor is on side 1, 2*x_n when it is on side 2, so every d' rounds
+    exactly as _pair_diff's.  The post-swap d is monotone in the partner's
+    value, float rounding included (one rounded addition of a constant to a
+    monotone term), so |d'| is V-shaped over the window: the scan stops
+    after the first partner whose d' is zero or has d's sign, and keeps the
+    first strict minimum, i.e. the smallest partner index on ties.  All
+    tie-group members share one d', so only the lowest opposing member is
+    evaluated.  `ties` holds the sweep's pointer per value group (keyed by
+    the group's first index, found by bisection), which walks up to it;
     each step costs one candidate evaluation.  Within a sweep, elements
     below the floor only move from the opposing to the larger side, so each
     pointer only moves up: the tie groups cost O(N) per sweep in total.
@@ -360,15 +363,10 @@ def find_best_swap(state: PartitionState, n: int, floor: int, ties: dict, metric
     d = state.d
     in_set1 = state.in_set1
     side = in_set1[n]
-    if (d > 0) != side or d == 0:
-        metrics.candidate_evaluations += 1
-        return None
-
     values = state.values
-    positive = d > 0
     evals = 0
     best_idx = None
-    best_val = None
+    best_val = abs(d)
     window = range(floor + 1, n)
     if floor > 0 and values[floor - 1] == values[floor]:
         group = bisect.bisect_left(values, values[floor], 0, floor)
@@ -379,19 +377,17 @@ def find_best_swap(state: PartitionState, n: int, floor: int, ties: dict, metric
         ties[group] = q
         if q < floor:
             window = itertools.chain((q,), window)
+    x2 = 2 * values[n]
+    c = d - x2
     for j in window:
         evals += 1
-        new_d = _pair_diff(state, n, j)
-        val = abs(new_d)
-        if best_val is None or val < best_val:
-            best_idx, best_val = j, val
-        if new_d == 0 or (new_d > 0) == positive:
+        new_d = c + 2 * values[j] if side else d - 2 * values[j] + x2
+        if abs(new_d) < best_val:
+            best_idx, best_val = j, abs(new_d)
+        if new_d == 0 or (new_d > 0) == side:
             break
     metrics.candidate_evaluations += evals
-
-    if best_idx is not None and best_val < abs(d):
-        return best_idx, best_val
-    return None
+    return None if best_idx is None else (best_idx, best_val)
 
 
 def apply_swap(state: PartitionState, n: int, partner: int) -> TraverseOutcome:
@@ -445,13 +441,16 @@ def run_traverse(
     (-1 at the start): it becomes n when a larger-side cursor does not swap
     and max(floor, partner) after a swap, because the cursor leaves the
     larger side and the partner joins it.  It also keeps the tie-group
-    pointers of find_best_swap.  Per sweep this costs at most about 2N
-    candidate evaluations: each skipped cursor costs 1; a scanning cursor
-    that neither flips nor zeroes d swaps with the last partner it scanned
-    (everything before it has the opposite sign), so it costs one evaluation
-    per index the floor passes, plus one; a cursor that does not swap moves
-    the floor up to itself; and the tie-group pointers only move up.
-    The sweep reads nothing from cfg.
+    pointers of find_best_swap.  Only larger-side cursors with d nonzero
+    reach find_best_swap; every other cursor cannot start an improving swap
+    and is skipped here in O(1), counted as one candidate evaluation (the
+    skips are tallied locally and added once after the sweep).  Per sweep
+    this costs at most about 2N candidate evaluations: each skipped cursor
+    costs 1; a scanning cursor that neither flips nor zeroes d swaps with
+    the last partner it scanned (everything before it has the opposite
+    sign), so it costs one evaluation per index the floor passes, plus one;
+    a cursor that does not swap moves the floor up to itself; and the
+    tie-group pointers only move up.  The sweep reads nothing from cfg.
     """
     metrics.traverses += 1
     if state.mode is Mode.FLOAT64:
@@ -460,11 +459,17 @@ def run_traverse(
     outcome = TraverseOutcome.COMPLETED
     floor = -1
     ties: dict = {}
-    for n in range(len(state.values)):
+    skipped = 0
+    # a swap that keeps the sweep going keeps d's sign, so the larger side
+    # holds for the whole sweep; None when d is zero skips every cursor
+    larger = state.d > 0 if state.d else None
+    for n, side in enumerate(state.in_set1):
+        if side != larger:
+            skipped += 1
+            continue
         hit = find_best_swap(state, n, floor, ties, metrics)
         if hit is None:
-            if state.in_set1[n] == (state.d > 0):
-                floor = n
+            floor = n
             continue
         partner, _ = hit
         floor = max(floor, partner)
@@ -477,6 +482,7 @@ def run_traverse(
             metrics.sign_changes += 1
         if outcome is not TraverseOutcome.COMPLETED:
             break
+    metrics.candidate_evaluations += skipped
     this_traverse = metrics.candidate_evaluations - evals_before
     if this_traverse > metrics.max_traverse_evaluations:
         metrics.max_traverse_evaluations = this_traverse
@@ -539,30 +545,35 @@ def solve(
 def is_locally_optimal_pairswap(state: PartitionState, tolerance: float = 0.0) -> bool:
     """True iff no cross-side swap drops |d| below |d| - tolerance.
 
-    Linear after sorting each side by value (already sorted for solver
-    states, which timsort sees in one pass).
+    One merge over the two sides' value lists, each sorted (already sorted
+    for solver states, which timsort sees in one pass).
 
-    For a side-1 element a, the post-swap difference _pair_diff(state, a, b)
-    = (d - 2*x_a) + 2*x_b is monotone nondecreasing in x_b, float rounding
-    included: it is one rounded addition of 2*x_b to a constant, and
-    rounding is monotone.  So over side 2 in ascending order |d'| falls
-    until d' crosses zero and rises after it, and only the two partners
-    around the crossing (the last with d' < 0 and the first with d' >= 0)
-    can be a's best swap.  As x_a grows, d - 2*x_a can only shrink, so every
-    d' can only shrink and the crossing only moves right: one pointer over
-    side 2 serves all of side 1.  oracle.pairswap_witness is the all-pairs
-    reference this must agree with, and names a violating pair.
+    For a side-1 value x_a, the post-swap difference with a side-2 value x_b
+    is c + 2*x_b, c = d - 2*x_a computed once per x_a: exactly _pair_diff's
+    left-to-right d - 2*x_a + 2*x_b, so float verdicts round as it does.  It
+    is monotone nondecreasing in x_b, float rounding included: one rounded
+    addition of 2*x_b to a constant, and rounding is monotone.  So over side
+    2 in ascending order |d'| falls until d' crosses zero and rises after
+    it, and only the two partners around the crossing (the last with d' < 0
+    and the first with d' >= 0) can be x_a's best swap.  As x_a grows, c can
+    only shrink, so every d' can only shrink and the crossing only moves
+    right: one pointer over side 2 serves all of side 1.
+    oracle.pairswap_witness is the all-pairs reference this must agree with,
+    and names a violating pair.
     """
-    key = state.values.__getitem__
-    side1 = sorted(state.set1_indices(), key=key)
-    side2 = sorted(state.set2_indices(), key=key)
+    d = state.d
+    side1 = sorted(itertools.compress(state.values, state.in_set1))
+    side2 = sorted(itertools.compress(state.values, map(operator.not_, state.in_set1)))
     # exact when tolerance is 0: an int |d| past 2^53 must not round
-    threshold = abs(state.d) - tolerance if tolerance else abs(state.d)
+    threshold = abs(d) - tolerance if tolerance else abs(d)
+    m = len(side2)
     p = 0
-    for a in side1:
-        while p < len(side2) and _pair_diff(state, a, side2[p]) < 0:
+    for x_a in side1:
+        c = d - 2 * x_a
+        while p < m and c + 2 * side2[p] < 0:
             p += 1
-        for b in side2[max(p - 1, 0):p + 1]:
-            if abs(_pair_diff(state, a, b)) < threshold:
-                return False
+        if p and abs(c + 2 * side2[p - 1]) < threshold:
+            return False
+        if p < m and abs(c + 2 * side2[p]) < threshold:
+            return False
     return True

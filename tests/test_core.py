@@ -1,7 +1,10 @@
 """Unit and property tests for the core solver."""
 
+import bisect
 import contextlib
+import dataclasses
 import enum
+import itertools
 import math
 import operator
 import random
@@ -24,6 +27,7 @@ from eqpart.core import (
     PartitionState,
     SUM_GUARD,
     SolverConfig,
+    SwapEvent,
     TraverseOutcome,
     _pair_diff,
     apply_swap,
@@ -231,10 +235,12 @@ def checked_scans():
     """Check every partner scan, in run_traverse too, against a full scan.
 
     Patches core.find_best_swap (run_traverse looks it up at call time).
-    Over every opposing partner below the cursor, each scored with
-    _pair_diff: when one beats |d|, the scan must return the minimum |d'|
-    and a partner that attains it; otherwise it must return None.  Exact
-    for int states, which is what the tests below use.
+    Skipped cursors (smaller side, or d zero) are counted by run_traverse
+    and never reach the scan.  Over every opposing partner below the
+    cursor, each scored with _pair_diff: when one beats |d|, the scan must
+    return the minimum |d'| and a partner that attains it; otherwise it
+    must return None.  Exact for int states, which is what the tests below
+    use.
     """
     scan = core.find_best_swap
 
@@ -274,16 +280,9 @@ def test_find_best_swap_hit():
 
 def test_find_best_swap_zero_diff():
     state = make_state([5, 5], {0})
-    # floor -1: no side-2 index below the cursor
+    # run_traverse never scans at d == 0; alone, the scan finds nothing
+    # that beats |d| = 0.  floor -1: no side-2 index below the cursor
     assert find_best_swap(state, 1, -1, {}, Metrics()) is None
-
-
-def test_find_best_swap_smaller_side_skips_with_one_eval():
-    state = make_state([1, 2, 3, 8], {0, 2})  # d=-6, larger side is side 2
-    metrics = Metrics()
-    # floor 0: the highest side-1 index below the cursor (never read on a skip)
-    assert find_best_swap(state, 2, 0, {}, metrics) is None  # value 3 is in side 1
-    assert metrics.candidate_evaluations == 1
 
 
 def test_find_best_swap_tie_picks_smallest_index():
@@ -395,6 +394,162 @@ def test_run_traverse_no_swaps_on_identical():
     metrics = Metrics()
     assert run_traverse(state, SolverConfig(), metrics) is TraverseOutcome.COMPLETED
     assert metrics.swaps == 0
+
+
+@contextlib.contextmanager
+def counted_scans():
+    """Record (cursor, candidate evaluations) for every find_best_swap call."""
+    scan = core.find_best_swap
+    calls = []
+
+    def counted(state, n, floor, ties, metrics):
+        before = metrics.candidate_evaluations
+        hit = scan(state, n, floor, ties, metrics)
+        calls.append((n, metrics.candidate_evaluations - before))
+        return hit
+
+    with mock.patch.object(core, "find_best_swap", counted):
+        yield calls
+
+
+def test_run_traverse_counts_skipped_cursors():
+    # d == 0 at the start: every cursor is skipped, one evaluation each
+    state = make_state([1, 2, 3, 4], {0, 3})
+    assert state.d == 0
+    metrics = Metrics()
+    with counted_scans() as calls:
+        assert run_traverse(state, SolverConfig(), metrics) is TraverseOutcome.COMPLETED
+    assert calls == []
+    assert metrics.swaps == 0
+    assert metrics.candidate_evaluations == metrics.max_traverse_evaluations == 4
+
+    # split init: side 2 (the top half) is larger, so the bottom half and
+    # every cursor that left side 2 by swapping is a skip
+    rng = random.Random(5)
+    si = normalize_and_sort(Instance.from_values([rng.randint(1, 1000) for _ in range(40)]))
+    state = init_partition(si, SolverConfig(init_strategy=InitStrategy.SPLIT_HALF))
+    assert state.d < 0
+    larger = [not x for x in state.in_set1]
+    metrics, trace = Metrics(), []
+    with counted_scans() as calls:
+        outcome = run_traverse(state, SolverConfig(), metrics, trace)
+    visited = len(si) if outcome is TraverseOutcome.COMPLETED else trace[-1].cursor + 1
+    skipped = visited - len(calls)
+    assert [n for n, _ in calls] == [n for n in range(visited) if larger[n]]
+    assert skipped >= len(si) // 2 and metrics.swaps > 0
+    assert metrics.candidate_evaluations == skipped + sum(e for _, e in calls)
+    assert metrics.max_traverse_evaluations == metrics.candidate_evaluations
+
+
+def _reference_find_best_swap(state, n, floor, ties, metrics):
+    """find_best_swap as it was when it also took the skipped cursors and
+    scored every partner with _pair_diff, kept as the reference."""
+    d = state.d
+    in_set1 = state.in_set1
+    side = in_set1[n]
+    if (d > 0) != side or d == 0:
+        metrics.candidate_evaluations += 1
+        return None
+
+    values = state.values
+    positive = d > 0
+    evals = 0
+    best_idx = None
+    best_val = None
+    window = range(floor + 1, n)
+    if floor > 0 and values[floor - 1] == values[floor]:
+        group = bisect.bisect_left(values, values[floor], 0, floor)
+        q = ties.get(group, group)
+        while q < floor and in_set1[q] == side:
+            q += 1
+            evals += 1
+        ties[group] = q
+        if q < floor:
+            window = itertools.chain((q,), window)
+    for j in window:
+        evals += 1
+        new_d = _pair_diff(state, n, j)
+        val = abs(new_d)
+        if best_val is None or val < best_val:
+            best_idx, best_val = j, val
+        if new_d == 0 or (new_d > 0) == positive:
+            break
+    metrics.candidate_evaluations += evals
+
+    if best_idx is not None and best_val < abs(d):
+        return best_idx, best_val
+    return None
+
+
+def reference_sweep(state, cfg, metrics, trace=None):
+    """run_traverse as it was when every cursor went through the scan, kept
+    as the reference."""
+    metrics.traverses += 1
+    if state.mode is Mode.FLOAT64:
+        recompute_sums(state)
+    evals_before = metrics.candidate_evaluations
+    outcome = TraverseOutcome.COMPLETED
+    floor = -1
+    ties: dict = {}
+    for n in range(len(state.values)):
+        hit = _reference_find_best_swap(state, n, floor, ties, metrics)
+        if hit is None:
+            if state.in_set1[n] == (state.d > 0):
+                floor = n
+            continue
+        partner, _ = hit
+        floor = max(floor, partner)
+        d_before = state.d
+        outcome = apply_swap(state, n, partner)
+        metrics.swaps += 1
+        if trace is not None:
+            trace.append(SwapEvent(n, partner, d_before, state.d, outcome))
+        if outcome is TraverseOutcome.SIGN_FLIPPED:
+            metrics.sign_changes += 1
+        if outcome is not TraverseOutcome.COMPLETED:
+            break
+    this_traverse = metrics.candidate_evaluations - evals_before
+    if this_traverse > metrics.max_traverse_evaluations:
+        metrics.max_traverse_evaluations = this_traverse
+    return outcome
+
+
+def _solve_outcome(values, cfg, card1):
+    """Everything a solve decides, floats by repr; the message of a guard trip."""
+    try:
+        r = solve(Instance.from_values(values), cfg, card1)
+    except InternalConsistencyError as exc:
+        return str(exc)
+    return (r.partition.in_set1, repr(r.partition.d), repr(r.trace), repr(r.maintained_drift),
+            dataclasses.replace(r.metrics, wall_time_ns=0))
+
+
+_decimal_floats = st.tuples(
+    st.sampled_from([0.1, 0.2, 0.3, 1e-9, 7.0, -0.3, 2.5]), st.sampled_from([1, 3])
+).map(lambda p: p[0] * p[1])
+
+
+@given(
+    st.one_of(
+        st.lists(st.integers(-50, 50), min_size=2, max_size=40),
+        st.lists(st.integers(0, 3), min_size=2, max_size=40),
+        st.lists(_decimal_floats, min_size=2, max_size=40),
+    ),
+    st.sampled_from(ALL_STRATEGIES),
+    st.booleans(),
+    st.data(),
+)
+@settings(max_examples=300, deadline=None)
+def test_sweep_matches_reference(values, cfg, pinned, data):
+    # swap traces, memberships, final d, drift and every counter (or the
+    # guard's message) are identical to the reference sweep's
+    card1 = data.draw(st.integers(1, len(values) - 1)) if pinned else None
+    if card1 is None and len(values) % 2:
+        values = values[:-1]
+    cfg = dataclasses.replace(cfg, collect_trace=True)
+    with mock.patch.object(core, "run_traverse", reference_sweep):
+        expected = _solve_outcome(values, cfg, card1)
+    assert _solve_outcome(values, cfg, card1) == expected
 
 
 # ---------------------------------------------------------------------- solve
