@@ -76,6 +76,8 @@ class GeneratorSpec:
             value = getattr(self, name)
             if isinstance(value, float) and not math.isfinite(value):
                 raise ValueError(f"{name} must be finite, got {value}")
+        if self.family == "uniform_int" and (self.p1 != int(self.p1) or self.p2 != int(self.p2)):
+            raise ValueError(f"uniform_int bounds must be integers, got [{self.p1}, {self.p2}]")
         if self.family in ("uniform_int", "uniform_float") and self.p1 > self.p2:
             raise ValueError(f"empty range [{self.p1}, {self.p2}]")
         if self.family == "near_equal" and self.p2 < 0:

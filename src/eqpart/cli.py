@@ -14,7 +14,6 @@ import re
 import sys
 
 from .core import (
-    ContractViolationError,
     Instance,
     InternalConsistencyError,
     InvalidCardinalityError,
@@ -87,8 +86,15 @@ def _first_bad_token(text: str, mode: Mode) -> InputFormatError:
             tok, where = m.group(), f"line {ln}, column {m.start() + 1}"
             if not pattern.fullmatch(tok):
                 return InputFormatError(f"{where}: {tok!r} is not {kind}")
-            if exact and abs(int(tok)) >= SUM_GUARD:
-                return InputFormatError(f"{where}: {tok!r} exceeds the 2^62 integer guard")
+            if exact:
+                digits = tok.lstrip("+-").lstrip("0")  # 2^62 has 19 digits
+                if len(digits) > 19 or int(digits or "0") >= SUM_GUARD:
+                    return InputFormatError(f"{where}: {tok!r} exceeds the 2^62 integer guard")
+                try:
+                    int(tok)
+                except ValueError:  # int()'s digit limit counts leading zeros too
+                    return InputFormatError(f"{where}: integer token of {len(tok)} "
+                                            "characters is too long")
             if not exact and not math.isfinite(float(tok)):
                 return InputFormatError(f"{where}: {tok!r} is not finite")
     raise InternalConsistencyError("the bulk parse refused input the line scan accepts")
@@ -305,7 +311,7 @@ def main(argv=None) -> int:
     except (InvalidCardinalityError, OracleCapError, OverflowGuardError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (InternalConsistencyError, ContractViolationError, BenchInvariantError) as exc:
+    except (InternalConsistencyError, BenchInvariantError) as exc:
         print(f"internal error: {exc}", file=sys.stderr)
         return 3
 

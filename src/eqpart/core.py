@@ -61,10 +61,6 @@ class OverflowGuardError(PartitionError):
     """Exact-integer inputs exceed the overflow guard."""
 
 
-class ContractViolationError(PartitionError):
-    """A swap primitive was called with both indices in the same side."""
-
-
 class InternalConsistencyError(PartitionError):
     """An internal invariant broke, such as the nontermination guard or a
     maintained d that disagrees with its recomputation."""
@@ -315,102 +311,6 @@ def init_partition(
     )
 
 
-def _pair_diff(state: PartitionState, cursor: int, partner: int):
-    """Signed d after swapping cursor/partner (opposite sides, unchecked).
-
-    Evaluated left to right as d - 2*x_a + 2*x_b, x_a the side-1 value: the
-    one formula for a post-swap difference.  The swap applies it; the
-    partner scan and the local-optimality check inline it in the same
-    order, hoisting the loop-invariant term, so all three round alike.
-    """
-    if state.in_set1[cursor]:
-        return state.d - 2 * state.values[cursor] + 2 * state.values[partner]
-    return state.d - 2 * state.values[partner] + 2 * state.values[cursor]
-
-
-def find_best_swap(state: PartitionState, n: int, floor: int, ties: dict, metrics: Metrics):
-    """Best strictly improving partner for sorted index n, or None.
-
-    run_traverse calls this only for cursors on the larger-sum side while d
-    is nonzero; it skips every other cursor itself, since none can start an
-    improving swap.  The window is bounded by `floor`, the highest index
-    below n on the cursor's side (-1 if none), which run_traverse keeps for
-    its sweep.  A same-side element bounds the window because its value
-    dominates every opposing value below it, except for opposing elements
-    tied with it: a same-side tie proves nothing about them (swapping equal
-    values never changes d).  So the window is the opposing run (floor,
-    n-1] plus the tie group, the opposing elements below floor whose value
-    equals values[floor].
-
-    The window is scanned upward.  Each d' is _pair_diff's left-to-right
-    d - 2*x_a + 2*x_b with the cursor's term hoisted: c = d - 2*x_n when
-    the cursor is on side 1, 2*x_n when it is on side 2, so every d' rounds
-    exactly as _pair_diff's.  The post-swap d is monotone in the partner's
-    value, float rounding included (one rounded addition of a constant to a
-    monotone term), so |d'| is V-shaped over the window: the scan stops
-    after the first partner whose d' is zero or has d's sign, and keeps the
-    first strict minimum, i.e. the smallest partner index on ties.  All
-    tie-group members share one d', so only the lowest opposing member is
-    evaluated.  `ties` holds the sweep's pointer per value group (keyed by
-    the group's first index, found by bisection), which walks up to it;
-    each step costs one candidate evaluation.  Within a sweep, elements
-    below the floor only move from the opposing to the larger side, so each
-    pointer only moves up: the tie groups cost O(N) per sweep in total.
-
-    Returns (partner, new_abs_diff) for the minimizer when it strictly beats
-    |d|.
-    """
-    d = state.d
-    in_set1 = state.in_set1
-    side = in_set1[n]
-    values = state.values
-    evals = 0
-    best_idx = None
-    best_val = abs(d)
-    window = range(floor + 1, n)
-    if floor > 0 and values[floor - 1] == values[floor]:
-        group = bisect.bisect_left(values, values[floor], 0, floor)
-        q = ties.get(group, group)
-        while q < floor and in_set1[q] == side:
-            q += 1
-            evals += 1
-        ties[group] = q
-        if q < floor:
-            window = itertools.chain((q,), window)
-    x2 = 2 * values[n]
-    c = d - x2
-    for j in window:
-        evals += 1
-        new_d = c + 2 * values[j] if side else d - 2 * values[j] + x2
-        if abs(new_d) < best_val:
-            best_idx, best_val = j, abs(new_d)
-        if new_d == 0 or (new_d > 0) == side:
-            break
-    metrics.candidate_evaluations += evals
-    return None if best_idx is None else (best_idx, best_val)
-
-
-def apply_swap(state: PartitionState, n: int, partner: int) -> TraverseOutcome:
-    """Exchange memberships of n and partner and update d incrementally.
-
-    Classifies the new difference as the sweep's outcome so far:
-    ZERO_REACHED when it vanished, SIGN_FLIPPED when the sign strictly
-    crossed, COMPLETED (the sweep may go on) otherwise.
-    """
-    if state.in_set1[n] == state.in_set1[partner]:
-        raise ContractViolationError(f"indices {n} and {partner} are in the same side")
-    a, b = (n, partner) if state.in_set1[n] else (partner, n)
-    old_d = state.d
-    state.d = _pair_diff(state, a, b)
-    state.in_set1[a] = False
-    state.in_set1[b] = True
-    if state.d == 0:
-        return TraverseOutcome.ZERO_REACHED
-    if (old_d > 0) != (state.d > 0):
-        return TraverseOutcome.SIGN_FLIPPED
-    return TraverseOutcome.COMPLETED
-
-
 def recompute_sums(state: PartitionState) -> PartitionState:
     """Recompute d from scratch and refresh the state in place.
 
@@ -433,59 +333,99 @@ def run_traverse(
 ) -> TraverseOutcome:
     """One cursor sweep from the lowest sorted index upward.
 
-    Applies the best improving swap at each cursor.  A sign flip ends the
-    sweep immediately (the caller restarts); a zero difference is terminal;
-    otherwise the sweep completes after the top index.
+    Each cursor on the larger-sum side swaps with its best strictly
+    improving opposing partner below, if any.  A sign flip ends the sweep at
+    once (the caller restarts); a zero difference is terminal; otherwise the
+    sweep completes after the top index.  A swap that lets the sweep go on
+    keeps d's sign, so the larger side holds for the whole sweep.  Every
+    other cursor (smaller side, or d zero) cannot start an improving swap
+    and is skipped, counted as one candidate evaluation.
 
-    The sweep keeps `floor`, the highest larger-side index below the cursor
-    (-1 at the start): it becomes n when a larger-side cursor does not swap
-    and max(floor, partner) after a swap, because the cursor leaves the
-    larger side and the partner joins it.  It also keeps the tie-group
-    pointers of find_best_swap.  Only larger-side cursors with d nonzero
-    reach find_best_swap; every other cursor cannot start an improving swap
-    and is skipped here in O(1), counted as one candidate evaluation (the
-    skips are tallied locally and added once after the sweep).  Per sweep
-    this costs at most about 2N candidate evaluations: each skipped cursor
-    costs 1; a scanning cursor that neither flips nor zeroes d swaps with
-    the last partner it scanned (everything before it has the opposite
-    sign), so it costs one evaluation per index the floor passes, plus one;
-    a cursor that does not swap moves the floor up to itself; and the
-    tie-group pointers only move up.  The sweep reads nothing from cfg.
+    The partner window is bounded by `floor`, the highest larger-side index
+    below the cursor (-1 at the start).  It becomes n when a cursor does
+    not swap and max(floor, partner) after a swap, because the cursor
+    leaves the larger side and the partner joins it.  A same-side element
+    bounds the window because its value dominates every opposing value
+    below it, except for opposing elements tied with it: a same-side tie
+    proves nothing about them (swapping equal values never changes d).  So
+    the window is the opposing run (floor, n-1] plus the tie group, the
+    opposing elements below floor whose value equals values[floor].  All
+    tie-group members share one d', so only the lowest opposing member is
+    evaluated; `ties` holds the sweep's pointer per value group (keyed by
+    the group's first index, found by bisection), which walks up to it at
+    one candidate evaluation per step.  Below the floor, elements only move
+    from the opposing to the larger side within a sweep, so each pointer
+    only moves up.
+
+    The window is scanned upward.  Each d' is the one post-swap formula,
+    d - 2*x_a + 2*x_b left to right with x_a the side-1 value, the cursor's
+    term hoisted (c = d - 2*x_n, then c + 2*x_j, on side 1); the chosen d'
+    becomes the new d as computed.  d' is monotone in the partner's value,
+    float rounding included (one rounded addition of a constant to a
+    monotone term), so |d'| is V-shaped over the window: the scan stops
+    after the first partner whose d' is zero or has d's sign, and keeps the
+    first strict minimum, i.e. the smallest partner index on ties.
+
+    Per sweep this costs at most about 2N candidate evaluations: each
+    skipped cursor costs 1; a scanning cursor that neither flips nor zeroes
+    d swaps with the last partner it scanned (everything before it has the
+    opposite sign), so it costs one evaluation per index the floor passes,
+    plus one; a cursor that does not swap moves the floor up to itself; and
+    the tie-group pointers only move up.  The sweep reads nothing from cfg.
     """
     metrics.traverses += 1
     if state.mode is Mode.FLOAT64:
         recompute_sums(state)
-    evals_before = metrics.candidate_evaluations
+    values, in_set1, d = state.values, state.in_set1, state.d
     outcome = TraverseOutcome.COMPLETED
+    evals = 0
     floor = -1
     ties: dict = {}
-    skipped = 0
-    # a swap that keeps the sweep going keeps d's sign, so the larger side
-    # holds for the whole sweep; None when d is zero skips every cursor
-    larger = state.d > 0 if state.d else None
-    for n, side in enumerate(state.in_set1):
+    larger = d > 0 if d else None  # None skips every cursor
+    for n, side in enumerate(in_set1):
         if side != larger:
-            skipped += 1
+            evals += 1
             continue
-        hit = find_best_swap(state, n, floor, ties, metrics)
-        if hit is None:
+        window = range(floor + 1, n)
+        if floor > 0 and values[floor - 1] == values[floor]:
+            group = bisect.bisect_left(values, values[floor], 0, floor)
+            q = ties.get(group, group)
+            while q < floor and in_set1[q] == side:
+                q += 1
+                evals += 1
+            ties[group] = q
+            if q < floor:
+                window = itertools.chain((q,), window)
+        x2 = 2 * values[n]
+        c = d - x2
+        partner, best = None, abs(d)
+        for j in window:
+            evals += 1
+            new_d = c + 2 * values[j] if side else d - 2 * values[j] + x2
+            if abs(new_d) < best:
+                partner, best, best_d = j, abs(new_d), new_d
+            if new_d == 0 or (new_d > 0) == side:
+                break
+        if partner is None:
             floor = n
             continue
-        partner, _ = hit
         floor = max(floor, partner)
-        d_before = state.d
-        outcome = apply_swap(state, n, partner)
+        in_set1[n], in_set1[partner] = not larger, larger
         metrics.swaps += 1
-        if trace is not None:
-            trace.append(SwapEvent(n, partner, d_before, state.d, outcome))
-        if outcome is TraverseOutcome.SIGN_FLIPPED:
+        if best_d == 0:
+            outcome = TraverseOutcome.ZERO_REACHED
+        elif (best_d > 0) != larger:
+            outcome = TraverseOutcome.SIGN_FLIPPED
             metrics.sign_changes += 1
+        if trace is not None:
+            trace.append(SwapEvent(n, partner, d, best_d, outcome))
+        d = best_d
         if outcome is not TraverseOutcome.COMPLETED:
             break
-    metrics.candidate_evaluations += skipped
-    this_traverse = metrics.candidate_evaluations - evals_before
-    if this_traverse > metrics.max_traverse_evaluations:
-        metrics.max_traverse_evaluations = this_traverse
+    state.d = d
+    metrics.candidate_evaluations += evals
+    if evals > metrics.max_traverse_evaluations:
+        metrics.max_traverse_evaluations = evals
     return outcome
 
 
@@ -549,8 +489,8 @@ def is_locally_optimal_pairswap(state: PartitionState, tolerance: float = 0.0) -
     for solver states, which timsort sees in one pass).
 
     For a side-1 value x_a, the post-swap difference with a side-2 value x_b
-    is c + 2*x_b, c = d - 2*x_a computed once per x_a: exactly _pair_diff's
-    left-to-right d - 2*x_a + 2*x_b, so float verdicts round as it does.  It
+    is c + 2*x_b, c = d - 2*x_a computed once per x_a: exactly the sweep's
+    left-to-right d - 2*x_a + 2*x_b, so float verdicts round as its swaps.  It
     is monotone nondecreasing in x_b, float rounding included: one rounded
     addition of 2*x_b to a constant, and rounding is monotone.  So over side
     2 in ascending order |d'| falls until d' crosses zero and rises after

@@ -3,10 +3,12 @@
 Everything here enumerates or scans all pairs.  The only logic shared with
 the production solver is setup: the cardinality rule, the sort, the initial
 partition and the exact side sums (core._side_diff, which the state
-constructor PartitionState.from_membership uses too).  The searches, swap differences and local-optimality tests are written out
-again here, so these routines serve as the independent check of its output.  The
-equal-cardinality enumeration caps at N = 24 (C(24,12)/2 is about 1.35M
-bipartitions) and refuses larger inputs outright.
+constructor PartitionState.from_membership uses too).  The searches, the
+post-swap differences (inlined in core's sweep and verifier) and the
+local-optimality tests are written out again here, so these routines serve
+as the independent check of its output.  The equal-cardinality enumeration
+caps at N = 24 (C(24,12)/2 is about 1.35M bipartitions) and refuses larger
+inputs outright.
 """
 
 from __future__ import annotations

@@ -144,9 +144,9 @@ def test_criterion_3_traverse_bound(random_instance_runs, exhaustive_small_runs,
 def test_criterion_4_per_traverse_work_bound(
     random_instance_runs, exhaustive_small_runs, scaling_suite
 ):
-    # Why a sweep fits 2N for every start: see the run_traverse and
-    # find_best_swap docstrings in eqpart.core (sweep-kept floor, ascending
-    # scan that stops at the sign change, tie-group pointers).
+    # Why a sweep fits 2N for every start: see the run_traverse docstring in
+    # eqpart.core (sweep-kept floor, ascending scan that stops at the sign
+    # change, tie-group pointers).
     violations = []
     worst = 0.0
     runs = [(n, s, r) for n, s, r in random_instance_runs[0]]

@@ -57,6 +57,22 @@ def test_parse_integer_overflow():
         parse_input(str(1 << 63).encode(), Mode.EXACT_INT)
 
 
+@pytest.mark.parametrize(
+    "token, message",
+    [("9" * 5000, "exceeds the 2^62 integer guard"),
+     ("-" + "0" * 5000 + "9" * 20, "exceeds the 2^62 integer guard"),
+     ("0" * 5000 + "1", "integer token of 5001 characters is too long")],
+)
+def test_parse_integer_past_int_digit_limit(capsys, monkeypatch, token, message):
+    # int() refuses more than 4300 digits, leading zeros included; the
+    # positioned error still names the token, and the CLI exits 1
+    with pytest.raises(InputFormatError, match="line 2, column 3: "):
+        parse_input(f"1 2\n3 {token} 4\n".encode())
+    code, out, err = run_cli(capsys, ["solve"], f"1 {token}", monkeypatch)
+    assert code == 1 and out == ""
+    assert err.startswith("error: line 1, column 3: ") and err.endswith(message + "\n")
+
+
 def test_parse_negative_and_signed():
     assert parse_input(b"-3 +4").values == (-3, 4)
 
@@ -90,7 +106,15 @@ def reference_parse_input(data: bytes, mode: Mode | None = None) -> Instance:
                 raise InputFormatError(
                     f"line {ln}, column {col}: {tok!r} is not an integer"
                 )
-            v = int(tok)
+            try:
+                v = int(tok)
+            except ValueError:  # past int()'s digit limit, leading zeros included
+                if len(tok.lstrip("+-").lstrip("0")) <= 19:
+                    raise InputFormatError(
+                        f"line {ln}, column {col}: integer token of {len(tok)} characters "
+                        "is too long"
+                    )
+                v = SUM_GUARD  # at least 20 significant digits
             if abs(v) >= SUM_GUARD:
                 raise InputFormatError(
                     f"line {ln}, column {col}: {tok!r} exceeds the 2^62 integer guard"
@@ -117,7 +141,7 @@ _GUARD_EDGES = [str(v) for v in (SUM_GUARD - 1, -(SUM_GUARD - 1), SUM_GUARD, -SU
 _PARSE_PIECES = st.sampled_from([
     "0", "7", "-3", "+4", "-0", "1_0", "2.5", ".5", "5.", "-0.0", "1e3", "2E-2", "1e+5",
     "1e999", "-1e999", "1e-400", "inf", "nan", "x", "+", "-", ".", "e", "\u0663", "\uff15",
-    "\u0661\u0662", "\u0663.\u0665", "\u00b2", *_GUARD_EDGES, "9" * 25, "8" * 4301,
+    "\u0661\u0662", "\u0663.\u0665", "\u00b2", *_GUARD_EDGES, "9" * 25, "8" * 4301, "0" * 4301 + "8",
     " ", "  ", "\t", ",", ", ", "\n", "\r\n", "\x0b", "\x1c", "\x85", "\u2028", "\xa0",
     "\n# a comment, 1.5 x\n", "\n   # indented comment\n", "#", " #7 ",
 ])
@@ -364,7 +388,8 @@ def test_bench_split_init_aborts_exit_3(capsys, work_bound_breach):
      ("near-equal", "100", "-1", "error: epsilon must be non-negative"),
      ("geometric", "-2", "1", "error: ratio and scale must be positive"),
      ("uniform-int", "1", "inf", "error: p2 must be finite, got inf"),
-     ("uniform-int", "-inf", "10", "error: p1 must be finite, got -inf")],
+     ("uniform-int", "-inf", "10", "error: p1 must be finite, got -inf"),
+     ("uniform-int", "0.5", "3.7", "error: uniform_int bounds must be integers, got [0.5, 3.7]")],
 )
 def test_bench_rejects_empty_family_ranges_exit_2(capsys, family, p1, p2, message):
     # --p1=VALUE: argparse would read a separate "-inf" as an option

@@ -16,7 +16,6 @@ from hypothesis import example, given, settings, strategies as st
 
 from eqpart import core
 from eqpart.core import (
-    ContractViolationError,
     InitStrategy,
     Instance,
     InternalConsistencyError,
@@ -29,9 +28,6 @@ from eqpart.core import (
     SolverConfig,
     SwapEvent,
     TraverseOutcome,
-    _pair_diff,
-    apply_swap,
-    find_best_swap,
     init_partition,
     is_locally_optimal_pairswap,
     normalize_and_sort,
@@ -206,118 +202,164 @@ def test_init_consistency(values, strategy_idx):
     )
 
 
-# ---------------------------------------------------------------- _pair_diff
+# ------------------------------------------------------- reference primitives
 
 
-def test_pair_diff_examples():
-    # d=8 with side 1 = {3, 8} on {1,2,3,8}: swap 8 with 2 gives d=-4
-    state = make_state([1, 2, 3, 8], {2, 3})
-    assert state.d == 8
-    assert _pair_diff(state, 3, 1) == -4
-    assert _pair_diff(state, 1, 3) == -4  # cursor on either side
-
-    # equal values: unchanged
-    state = make_state([5, 5], {0})
-    assert _pair_diff(state, 0, 1) == state.d == 0
-
-    # alternating start on {1,2,3,8}: swap values 1 and 2 gives d=-4
-    state = make_state([1, 2, 3, 8], {0, 2})
-    assert state.d == -6
-    assert _pair_diff(state, 0, 1) == -4
-    assert _pair_diff(state, 1, 0) == -4
+def _reference_pair_diff(state, cursor, partner):
+    """Signed d after swapping cursor/partner (opposite sides), evaluated
+    left to right as d - 2*x_a + 2*x_b, x_a the side-1 value."""
+    if state.in_set1[cursor]:
+        return state.d - 2 * state.values[cursor] + 2 * state.values[partner]
+    return state.d - 2 * state.values[partner] + 2 * state.values[cursor]
 
 
-# ------------------------------------------------------------ find_best_swap
+def _reference_apply_swap(state, n, partner):
+    """The swap as a primitive of its own: exchange memberships, update d,
+    classify the new d as the sweep's outcome."""
+    assert state.in_set1[n] != state.in_set1[partner], (n, partner)
+    a, b = (n, partner) if state.in_set1[n] else (partner, n)
+    old_d = state.d
+    state.d = _reference_pair_diff(state, a, b)
+    state.in_set1[a] = False
+    state.in_set1[b] = True
+    if state.d == 0:
+        return TraverseOutcome.ZERO_REACHED
+    if (old_d > 0) != (state.d > 0):
+        return TraverseOutcome.SIGN_FLIPPED
+    return TraverseOutcome.COMPLETED
+
+
+# ------------------------------------------------------------------ the sweep
+
+
+def _copy_state(state):
+    return PartitionState(state.values, list(state.in_set1), state.d, state.mode)
 
 
 @contextlib.contextmanager
 def checked_scans():
-    """Check every partner scan, in run_traverse too, against a full scan.
+    """Check every sweep's decisions, in solve too, against a full scan.
 
-    Patches core.find_best_swap (run_traverse looks it up at call time).
-    Skipped cursors (smaller side, or d zero) are counted by run_traverse
-    and never reach the scan.  Over every opposing partner below the
-    cursor, each scored with _pair_diff: when one beats |d|, the scan must
-    return the minimum |d'| and a partner that attains it; otherwise it
-    must return None.  Exact for int states, which is what the tests below
-    use.
+    Patches core.run_traverse (solve looks it up at call time), keeps the
+    sweep's trace and replays it on a copy of the state from before the
+    sweep.  At each cursor the sweep visited, over every opposing partner
+    below it, each scored with _reference_pair_diff: a swap's partner must
+    attain the minimum |d'|, which must beat |d|, and its d_after must be
+    that partner's d'; a cursor that did not swap must have no partner that
+    beats |d|.  Exact for int states, which is what the tests use.
     """
-    scan = core.find_best_swap
+    sweep = core.run_traverse
 
-    def checked(state, n, floor, ties, metrics):
-        side = state.in_set1[n]
-        partners = [q for q in range(n) if state.in_set1[q] != side]
-        best = min((abs(_pair_diff(state, n, q)) for q in partners), default=None)
-        hit = scan(state, n, floor, ties, metrics)
-        if best is not None and best < abs(state.d):
-            assert hit is not None and hit[1] == best, (n, floor, hit, best)
-            assert hit[0] in partners and abs(_pair_diff(state, n, hit[0])) == best
-        else:
-            assert hit is None, (n, floor, hit)
-        return hit
+    def checked(state, cfg, metrics, trace=None):
+        replay = _copy_state(state)
+        if replay.mode is Mode.FLOAT64:
+            recompute_sums(replay)  # as the sweep does at its start
+        events = []
+        outcome = sweep(state, cfg, metrics, events)
+        swaps = {e.cursor: e for e in events}
+        last = len(state.values) - 1 if outcome is TraverseOutcome.COMPLETED else events[-1].cursor
+        for n in range(last + 1):
+            side = replay.in_set1[n]
+            diffs = {q: _reference_pair_diff(replay, n, q)
+                     for q in range(n) if replay.in_set1[q] != side}
+            best = min(map(abs, diffs.values()), default=None)
+            if n not in swaps:
+                assert best is None or best >= abs(replay.d), (n, best, replay.d)
+                continue
+            e = swaps[n]
+            assert e.d_before == replay.d and e.partner in diffs, (n, e)
+            assert abs(e.d_after) == best < abs(replay.d), (n, e, best)
+            assert e.d_after == diffs[e.partner], (n, e)
+            assert _reference_apply_swap(replay, n, e.partner) is e.outcome
+        assert replay.in_set1 == state.in_set1 and replay.d == state.d
+        if trace is not None:
+            trace.extend(events)
+        return outcome
 
-    with mock.patch.object(core, "find_best_swap", checked):
+    with mock.patch.object(core, "run_traverse", checked):
         yield
 
 
+def _sweep(values, set1, mode=None):
+    """One checked sweep of make_state(values, set1): (outcome, trace as
+    (cursor, partner, d_before, d_after, outcome) tuples, metrics, state)."""
+    state = make_state(values, set1, mode)
+    metrics, trace = Metrics(), []
+    with checked_scans():
+        outcome = core.run_traverse(state, SolverConfig(), metrics, trace)
+    assert metrics.traverses == 1
+    assert metrics.max_traverse_evaluations == metrics.candidate_evaluations
+    events = [(e.cursor, e.partner, e.d_before, e.d_after, e.outcome) for e in trace]
+    return outcome, events, metrics, state
+
+
 def test_find_best_swap_no_improvement():
-    # side1 = {2,3}, side2 = {1,8}, d=-4; cursor at 8: candidates 3 -> 6, 2 -> 8
-    state = make_state([1, 2, 3, 8], {1, 2})
-    assert state.d == -4
-    metrics = Metrics()
-    # floor 0: the highest side-2 index below the cursor
-    assert find_best_swap(state, 3, 0, {}, metrics) is None
-    assert metrics.candidate_evaluations == 2  # window stops before index 0
+    # side1 = {2,3}, side2 = {1,8}, d=-4: the larger side 2 has no improving
+    # partner.  Cursor 0 has an empty window and becomes the floor; cursor 3
+    # (value 8) scores 2 -> 8 and 3 -> 6, and the window stops before index 0
+    outcome, events, metrics, state = _sweep([1, 2, 3, 8], {1, 2})
+    assert outcome is TraverseOutcome.COMPLETED and events == []
+    assert metrics.candidate_evaluations == 4  # 2 skips + 2 scanned
+    assert state.d == -4 and state.in_set1 == [False, True, True, False]
 
 
 def test_find_best_swap_hit():
-    state = make_state([1, 2, 3, 8], {0, 2})  # alternating, d=-6
-    metrics = Metrics()
-    # floor -1: no side-2 index below the cursor
-    assert find_best_swap(state, 1, -1, {}, metrics) == (0, 4)
-    assert metrics.candidate_evaluations == 1
+    # alternating start on {1,2,3,8}, d=-6: cursor 1 swaps with index 0
+    # (d' = -6 - 2*1 + 2*2 = -4); cursor 3 then scores indices 1 and 2
+    # (8 and 6) and keeps its place
+    outcome, events, metrics, state = _sweep([1, 2, 3, 8], {0, 2})
+    assert outcome is TraverseOutcome.COMPLETED
+    assert events == [(1, 0, -6, -4, TraverseOutcome.COMPLETED)]
+    assert metrics.candidate_evaluations == 5  # 2 skips + 1 + 2
+    assert (metrics.swaps, metrics.sign_changes) == (1, 0)
+    assert state.in_set1 == [False, True, True, False]
+
+    # d=8 with side 1 = {3, 8}: cursor 2 swaps with index 0 (8 - 6 + 2)
+    outcome, events, metrics, _ = _sweep([1, 2, 3, 8], {2, 3})
+    assert events == [(2, 0, 8, 4, TraverseOutcome.COMPLETED)]
+    assert metrics.candidate_evaluations == 5  # 2 skips + 1 + 2
 
 
 def test_find_best_swap_zero_diff():
-    state = make_state([5, 5], {0})
-    # run_traverse never scans at d == 0; alone, the scan finds nothing
-    # that beats |d| = 0.  floor -1: no side-2 index below the cursor
-    assert find_best_swap(state, 1, -1, {}, Metrics()) is None
+    # d == 0: every cursor is skipped, one evaluation each
+    outcome, events, metrics, _ = _sweep([5, 5], {0})
+    assert outcome is TraverseOutcome.COMPLETED and events == []
+    assert metrics.candidate_evaluations == 2
 
 
 def test_find_best_swap_tie_picks_smallest_index():
-    # duplicated partner values make equal improving minimizers
-    state = make_state([2, 2, 6, 8], {2, 3})  # d = 10
-    # floor -1: no side-1 index below the cursor
-    hit = find_best_swap(state, 2, -1, {}, Metrics())
-    assert hit == (0, 2)  # indices 1 and 0 tie at |10-12+4| = 2; tie -> 0
+    # d = 10, cursor 2 (value 8): index 0 gives 10 - 16 + 4 = -2 and index
+    # 1 gives 10 - 16 + 8 = 2.  |d'| ties; the first strict minimum, the
+    # lower index, wins, and the scan stops at index 1 (d' has d's sign)
+    outcome, events, metrics, _ = _sweep([2, 4, 8, 8], {2, 3})
+    assert outcome is TraverseOutcome.SIGN_FLIPPED
+    assert events == [(2, 0, 10, -2, TraverseOutcome.SIGN_FLIPPED)]
+    assert metrics.candidate_evaluations == 4  # 2 skips + 2 scanned
+    assert (metrics.swaps, metrics.sign_changes) == (1, 1)
 
 
 def test_find_best_swap_window_stops_at_same_side():
-    # membership pattern side2,side1,side2,cursor: window must stop at index 1
-    state = make_state([1, 2, 3, 100], {1, 3})
-    assert state.d == 98  # (2 + 100) - (1 + 3)
-    metrics = Metrics()
-    # floor 1: the highest side-1 index below the cursor
-    hit = find_best_swap(state, 3, 1, {}, metrics)
-    assert metrics.candidate_evaluations == 1  # only index 2 scanned
-    assert hit == (2, abs(98 - 200 + 6))
+    # membership side2,side1,side2,cursor,side1,side2 and d = 39 - 37 = 2:
+    # cursor 1 (value 9) scores index 0 (2 - 18 + 10 = -6), does not swap
+    # and becomes the floor, so cursor 3 (value 14) scans only index 2
+    # (2 - 28 + 26 = 0), never index 0 below the floor
+    outcome, events, metrics, _ = _sweep([5, 9, 13, 14, 16, 19], {1, 3, 4})
+    assert outcome is TraverseOutcome.ZERO_REACHED
+    assert events == [(3, 2, 2, 0, TraverseOutcome.ZERO_REACHED)]
+    assert metrics.candidate_evaluations == 4  # 2 skips + 1 + 1
 
 
 def test_find_best_swap_tie_group_below_floor():
-    # d = 2, larger side 1 = {0, 3, 6, 7}; cursor 6 (value 2) has floor 3,
-    # the highest side-1 index below it.  Opposing 1s sit in the run (4, 5)
-    # and below the floor (1, 2), all giving d' = 0: the lowest opposing tie
-    # below the floor wins, reached by one pointer step over the same-side
-    # index 0.
-    state = make_state([1, 1, 1, 1, 1, 1, 2, 2], {0, 3, 6, 7})
-    assert state.d == 2
-    metrics = Metrics()
-    ties = {}
-    with checked_scans():
-        assert core.find_best_swap(state, 6, 3, ties, metrics) == (1, 0)
-    assert metrics.candidate_evaluations == 2  # one pointer step, one evaluation
-    assert ties == {0: 1}  # the group's pointer rests on its lowest opposing member
+    # d = 2, larger side 1 = {0, 3, 6, 7}.  Cursor 0 becomes the floor;
+    # cursor 3 scores index 1 (d' = 2, no gain, d's sign) and becomes the
+    # floor.  Cursor 6 (value 2) has opposing 1s in the run (4, 5) and below
+    # the floor (1, 2), all giving d' = 0: the lowest opposing tie below the
+    # floor wins, reached by one pointer step over the same-side index 0.
+    outcome, events, metrics, _ = _sweep([1, 1, 1, 1, 1, 1, 2, 2], {0, 3, 6, 7})
+    assert outcome is TraverseOutcome.ZERO_REACHED
+    assert events == [(6, 1, 2, 0, TraverseOutcome.ZERO_REACHED)]
+    # 4 skips + cursor 3 (1) + cursor 6 (one pointer step, one evaluation)
+    assert metrics.candidate_evaluations == 7
 
 
 def test_run_traverse_tie_group_below_floor():
@@ -325,51 +367,44 @@ def test_run_traverse_tie_group_below_floor():
     # floor stays at 4 while cursors 5 and 6 take their partners from the
     # 1s below it, lowest index first; the tie pointer moves up one step
     # per swapped-in partner and cursor 7 finds no improvement.
-    state = make_state([1, 1, 1, 1, 1, 2, 2, 5], {0, 1, 2, 3})
-    assert state.d == -6
-    metrics = Metrics()
-    trace = []
-    with checked_scans():
-        outcome = run_traverse(state, SolverConfig(), metrics, trace)
+    outcome, events, metrics, _ = _sweep([1, 1, 1, 1, 1, 2, 2, 5], {0, 1, 2, 3})
     assert outcome is TraverseOutcome.COMPLETED
-    assert [(e.cursor, e.partner, e.d_after) for e in trace] == [(5, 0, -4), (6, 1, -2)]
+    assert [(c, p, after) for c, p, _, after, _ in events] == [(5, 0, -4), (6, 1, -2)]
     # 4 skips + cursor 4 (1) + cursor 5 (1) + cursor 6 (1 step, 1 evaluation)
     # + cursor 7 (1 step, the tie at index 2, then run indices 5 and 6)
     assert metrics.candidate_evaluations == 12
 
 
-# ----------------------------------------------------------------- apply_swap
-
-
 def test_apply_swap_unchanged():
+    # a swap that keeps d's sign lets the sweep go on; exact mode keeps d
+    # bit for bit
     state = make_state([1, 2, 3, 8], {0, 2})
-    assert apply_swap(state, 1, 0) is TraverseOutcome.COMPLETED
+    assert run_traverse(state, SolverConfig(), Metrics()) is TraverseOutcome.COMPLETED
     assert state.d == -4
     assert state.in_set1 == [False, True, True, False]
     recompute_sums(state)  # exact mode: must agree bit for bit
 
 
 def test_apply_swap_zero():
-    state = make_state([1, 2, 3, 4], {0, 2})
-    assert state.d == -2
-    assert apply_swap(state, 1, 0) is TraverseOutcome.ZERO_REACHED
-    assert state.d == 0
+    outcome, events, metrics, state = _sweep([1, 2, 3, 4], {0, 2})
+    assert outcome is TraverseOutcome.ZERO_REACHED and state.d == 0
+    assert events == [(1, 0, -2, 0, TraverseOutcome.ZERO_REACHED)]
+    assert metrics.candidate_evaluations == 2  # 1 skip + 1 scanned
 
 
 def test_apply_swap_flipped_float():
-    state = make_state([0.0, 0.1, 0.2, 2.9], {2, 3})
-    assert state.d == pytest.approx(3.0)
-    assert apply_swap(state, 3, 0) is TraverseOutcome.SIGN_FLIPPED
-    assert state.d == pytest.approx(-2.8)
-
-
-def test_apply_swap_same_side_rejected():
-    state = make_state([1, 2, 3, 8], {0, 2})
-    with pytest.raises(ContractViolationError):
-        apply_swap(state, 0, 2)
-
-
-# ---------------------------------------------------------------- run_traverse
+    # float d = fsum(0.0, 0.7, 0.9) - fsum(0.1, 0.2, 0.5); cursor 4 (0.7)
+    # scores indices 1, 2, 3 and stops at 3, where d' regains d's sign.
+    # The best, index 2, flips the sign; its d' is the new d as computed,
+    # d - 2*0.7 + 2*0.2 left to right
+    d = math.fsum([0.0, 0.7, 0.9]) - math.fsum([0.1, 0.2, 0.5])
+    outcome, events, metrics, state = _sweep([0.0, 0.1, 0.2, 0.5, 0.7, 0.9], {0, 4, 5},
+                                             Mode.FLOAT64)
+    assert outcome is TraverseOutcome.SIGN_FLIPPED
+    assert events == [(4, 2, d, d - 2 * 0.7 + 2 * 0.2, TraverseOutcome.SIGN_FLIPPED)]
+    assert state.d == d - 2 * 0.7 + 2 * 0.2 == pytest.approx(-0.2)
+    assert metrics.candidate_evaluations == 6  # 3 skips + 0 + 3
+    assert (metrics.swaps, metrics.sign_changes) == (1, 1)
 
 
 def test_run_traverse_completed():
@@ -396,54 +431,32 @@ def test_run_traverse_no_swaps_on_identical():
     assert metrics.swaps == 0
 
 
-@contextlib.contextmanager
-def counted_scans():
-    """Record (cursor, candidate evaluations) for every find_best_swap call."""
-    scan = core.find_best_swap
-    calls = []
-
-    def counted(state, n, floor, ties, metrics):
-        before = metrics.candidate_evaluations
-        hit = scan(state, n, floor, ties, metrics)
-        calls.append((n, metrics.candidate_evaluations - before))
-        return hit
-
-    with mock.patch.object(core, "find_best_swap", counted):
-        yield calls
-
-
 def test_run_traverse_counts_skipped_cursors():
     # d == 0 at the start: every cursor is skipped, one evaluation each
-    state = make_state([1, 2, 3, 4], {0, 3})
-    assert state.d == 0
-    metrics = Metrics()
-    with counted_scans() as calls:
-        assert run_traverse(state, SolverConfig(), metrics) is TraverseOutcome.COMPLETED
-    assert calls == []
-    assert metrics.swaps == 0
+    outcome, events, metrics, _ = _sweep([1, 2, 3, 4], {0, 3})
+    assert outcome is TraverseOutcome.COMPLETED and events == []
     assert metrics.candidate_evaluations == metrics.max_traverse_evaluations == 4
 
     # split init: side 2 (the top half) is larger, so the bottom half and
-    # every cursor that left side 2 by swapping is a skip
+    # every cursor that left side 2 by swapping is a skip; the reference
+    # sweep, which sends every cursor through its scan, counts the same
     rng = random.Random(5)
     si = normalize_and_sort(Instance.from_values([rng.randint(1, 1000) for _ in range(40)]))
     state = init_partition(si, SolverConfig(init_strategy=InitStrategy.SPLIT_HALF))
     assert state.d < 0
-    larger = [not x for x in state.in_set1]
-    metrics, trace = Metrics(), []
-    with counted_scans() as calls:
-        outcome = run_traverse(state, SolverConfig(), metrics, trace)
-    visited = len(si) if outcome is TraverseOutcome.COMPLETED else trace[-1].cursor + 1
-    skipped = visited - len(calls)
-    assert [n for n, _ in calls] == [n for n in range(visited) if larger[n]]
-    assert skipped >= len(si) // 2 and metrics.swaps > 0
-    assert metrics.candidate_evaluations == skipped + sum(e for _, e in calls)
-    assert metrics.max_traverse_evaluations == metrics.candidate_evaluations
+    reference = _copy_state(state)
+    metrics, trace, ref_metrics, ref_trace = Metrics(), [], Metrics(), []
+    with checked_scans():
+        outcome = core.run_traverse(state, SolverConfig(), metrics, trace)
+    assert reference_sweep(reference, SolverConfig(), ref_metrics, ref_trace) is outcome
+    assert (trace, metrics, state) == (ref_trace, ref_metrics, reference)
+    assert metrics.swaps > 0 and metrics.candidate_evaluations > len(si) // 2
 
 
 def _reference_find_best_swap(state, n, floor, ties, metrics):
-    """find_best_swap as it was when it also took the skipped cursors and
-    scored every partner with _pair_diff, kept as the reference."""
+    """The partner scan as a function of its own, when it also took the
+    skipped cursors and scored every partner with _reference_pair_diff,
+    kept as the reference."""
     d = state.d
     in_set1 = state.in_set1
     side = in_set1[n]
@@ -468,7 +481,7 @@ def _reference_find_best_swap(state, n, floor, ties, metrics):
             window = itertools.chain((q,), window)
     for j in window:
         evals += 1
-        new_d = _pair_diff(state, n, j)
+        new_d = _reference_pair_diff(state, n, j)
         val = abs(new_d)
         if best_val is None or val < best_val:
             best_idx, best_val = j, val
@@ -482,8 +495,8 @@ def _reference_find_best_swap(state, n, floor, ties, metrics):
 
 
 def reference_sweep(state, cfg, metrics, trace=None):
-    """run_traverse as it was when every cursor went through the scan, kept
-    as the reference."""
+    """run_traverse as it was when every cursor went through the scan and
+    the swap recomputed d', kept as the reference."""
     metrics.traverses += 1
     if state.mode is Mode.FLOAT64:
         recompute_sums(state)
@@ -500,7 +513,7 @@ def reference_sweep(state, cfg, metrics, trace=None):
         partner, _ = hit
         floor = max(floor, partner)
         d_before = state.d
-        outcome = apply_swap(state, n, partner)
+        outcome = _reference_apply_swap(state, n, partner)
         metrics.swaps += 1
         if trace is not None:
             trace.append(SwapEvent(n, partner, d_before, state.d, outcome))
@@ -605,7 +618,7 @@ def test_pairswap_check_examples():
     state = make_state([1, 2, 3, 8], {2, 3})  # d = 8
     assert is_locally_optimal_pairswap(state) is False
     a, b = pairswap_witness(state)
-    assert abs(_pair_diff(state, a, b)) < 8
+    assert abs(_reference_pair_diff(state, a, b)) < 8
 
     state = make_state([5, 5, 5, 5], {0, 1})  # d = 0
     assert is_locally_optimal_pairswap(state) is True
@@ -619,7 +632,7 @@ def test_pairswap_check_examples():
         (0, 0, 1, 1, 4, 1), [True, False, False, False, True, True], Mode.EXACT_INT
     )
     assert is_locally_optimal_pairswap(state) is False  # d = 3
-    assert pairswap_witness(state) == (5, 1) and _pair_diff(state, 5, 1) == 1
+    assert pairswap_witness(state) == (5, 1) and _reference_pair_diff(state, 5, 1) == 1
 
 
 def _pairswap_states():
@@ -715,6 +728,7 @@ def test_recompute_detects_corruption():
 
 
 def test_float_drift_stays_bounded_over_many_swaps():
+    # random swaps, not sweeps: the incremental update alone, over many steps
     rng = random.Random(99)
     n = 100
     values = sorted(rng.random() for _ in range(n))
@@ -722,7 +736,7 @@ def test_float_drift_stays_bounded_over_many_swaps():
     for _ in range(10_000):
         a = rng.choice(state.set1_indices())
         b = rng.choice(state.set2_indices())
-        apply_swap(state, a, b)
+        _reference_apply_swap(state, a, b)
     maintained = state.d
     recompute_sums(state)
     assert abs(maintained - state.d) <= 1e-9 * math.fsum(map(abs, values))
