@@ -2,16 +2,17 @@
 
 run_suite solves every (size, repetition) cell, records per-run counters,
 reduces them to per-size medians, and fits the log-log slope of median
-candidate evaluations against N.  Every individual run is checked against
-the sweep-count ceiling and the 2N work-per-sweep bound; a breach aborts
-with the offending seed so the run can be replayed.
+candidate evaluations against N.  solve enforces the sweep-count ceiling
+itself; run_one checks the 2N work-per-sweep bound.  A breach of either, or
+any other internal error of a solve, aborts with the offending family, size
+and seed so the run can be replayed.
 
 The 2N per-sweep bound holds for every init, split and random included: the
 sweep keeps a floor (the highest larger-side index below the cursor) that
 only moves up, each cursor scans its partners upward from the floor and
 stops at the first one whose post-swap difference is zero or keeps d's
-sign, and ties below the floor are reached by per-sweep pointers that only
-move up.  So a skipped cursor costs 1, a scanning cursor about one
+sign, and ties below the floor are reached by one per-sweep pointer that
+only moves up.  So a skipped cursor costs 1, a scanning cursor about one
 evaluation per index the floor passes plus one, and a sweep about N + N
 (see core.run_traverse).
 """
@@ -28,11 +29,11 @@ from typing import Iterable, Optional, Sequence
 
 from .core import (
     Instance,
+    InternalConsistencyError,
     Mode,
     PartitionError,
     SolverConfig,
     solve,
-    traverse_guard,
 )
 
 FAMILIES = ("uniform_int", "uniform_float", "near_equal", "geometric")
@@ -50,7 +51,7 @@ CSV_HEADER = (
 
 
 class BenchInvariantError(PartitionError):
-    """A benchmarked run broke a complexity invariant; message carries the seed."""
+    """A benchmarked run broke an invariant; the message names family, size and seed."""
 
 
 @dataclass(frozen=True)
@@ -186,19 +187,17 @@ def _reduce(runs: Sequence[RunRecord]) -> tuple:
 
 def run_one(spec: GeneratorSpec, cfg: SolverConfig) -> RunRecord:
     """Solve one generated instance and assert its complexity invariants."""
+    where = f"(family={spec.family}, n={spec.n}, seed={spec.seed})"
     instance = generate(spec)
-    report = solve(instance, cfg)
+    try:
+        report = solve(instance, cfg)  # raises past the sweep-count ceiling
+    except InternalConsistencyError as exc:
+        raise BenchInvariantError(f"{exc} {where}") from exc
     m = report.metrics
-    guard = traverse_guard(spec.n, instance.mode)
-    if m.traverses > guard:
-        raise BenchInvariantError(
-            f"traverse bound breached: {m.traverses} > {guard} "
-            f"(family={spec.family}, n={spec.n}, seed={spec.seed})"
-        )
     if m.max_traverse_evaluations > 2 * spec.n:
         raise BenchInvariantError(
             f"per-traverse work bound breached: {m.max_traverse_evaluations} > {2 * spec.n} "
-            f"(family={spec.family}, n={spec.n}, seed={spec.seed})"
+            + where
         )
     return RunRecord(
         n=spec.n,

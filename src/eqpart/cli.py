@@ -24,6 +24,7 @@ from .core import (
     SolveReport,
     SolverConfig,
     SUM_GUARD,
+    excerpt,
     is_locally_optimal_pairswap,
     solve,
 )
@@ -38,7 +39,8 @@ class InputFormatError(PartitionError):
 
 
 _INT_TOKEN = re.compile(r"[+-]?\d+")
-_FLOAT_TOKEN = re.compile(r"[+-]?(\d+\.?\d*|\.\d+)([eE][+-]?\d+)?")
+# no two quantifiers can split one digit run, so a failed match is linear
+_FLOAT_TOKEN = re.compile(r"[+-]?(?:\d+(?:\.\d*)?|\.\d+)(?:[eE][+-]?\d+)?")
 
 
 def parse_input(data: bytes, mode: Mode | None = None) -> Instance:
@@ -85,18 +87,19 @@ def _first_bad_token(text: str, mode: Mode) -> InputFormatError:
         for m in re.finditer(r"[^\s,]+", line):
             tok, where = m.group(), f"line {ln}, column {m.start() + 1}"
             if not pattern.fullmatch(tok):
-                return InputFormatError(f"{where}: {tok!r} is not {kind}")
+                return InputFormatError(f"{where}: {excerpt(tok)} is not {kind}")
             if exact:
                 digits = tok.lstrip("+-").lstrip("0")  # 2^62 has 19 digits
                 if len(digits) > 19 or int(digits or "0") >= SUM_GUARD:
-                    return InputFormatError(f"{where}: {tok!r} exceeds the 2^62 integer guard")
+                    return InputFormatError(
+                        f"{where}: {excerpt(tok)} exceeds the 2^62 integer guard")
                 try:
                     int(tok)
                 except ValueError:  # int()'s digit limit counts leading zeros too
                     return InputFormatError(f"{where}: integer token of {len(tok)} "
                                             "characters is too long")
             if not exact and not math.isfinite(float(tok)):
-                return InputFormatError(f"{where}: {tok!r} is not finite")
+                return InputFormatError(f"{where}: {excerpt(tok)} is not finite")
     raise InternalConsistencyError("the bulk parse refused input the line scan accepts")
 
 

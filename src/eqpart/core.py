@@ -24,11 +24,27 @@ import operator
 import random
 import time
 from dataclasses import dataclass
-from typing import Optional
+from typing import ClassVar, Optional
 
 # Exact-integer guard: every |x| and sum(|x|) must stay below this so that
 # d - 2a + 2b arithmetic stays inside machine-integer range everywhere.
 SUM_GUARD = 1 << 62
+
+
+def excerpt(x, limit: int = 40) -> str:
+    """repr(x) for an error message.  A str, or the repr of anything else,
+    longer than `limit` is cut to its first `limit` characters and followed
+    by its full length, so one huge input cannot flood the message."""
+    try:
+        text = x if isinstance(x, str) else repr(x)
+    except ValueError:  # str() of an int past the interpreter's digit limit
+        if not isinstance(x, int):
+            raise
+        return f"an integer of {x.bit_length()} bits"
+    if len(text) <= limit:
+        return repr(x)
+    head = repr(text[:limit]) if isinstance(x, str) else text[:limit]
+    return f"{head}... ({len(text)} characters)"
 
 
 class Mode(enum.Enum):
@@ -84,10 +100,10 @@ class Instance:
             for x in values:
                 if not isinstance(x, int) or isinstance(x, bool):
                     raise OverflowGuardError(
-                        f"exact-integer mode requires int values, got {x!r}"
+                        f"exact-integer mode requires int values, got {excerpt(x)}"
                     )
                 if abs(x) >= SUM_GUARD:
-                    raise OverflowGuardError(f"|{x}| exceeds the 2^62 guard")
+                    raise OverflowGuardError(f"|{excerpt(x)}| exceeds the 2^62 guard")
         else:
             try:
                 floats = tuple(map(float, values))
@@ -96,8 +112,12 @@ class Instance:
                 finite = False
             if not finite:
                 for x in values:
-                    if not math.isfinite(float(x)):
-                        raise ValueError(f"non-finite value {x!r}")
+                    try:
+                        x_float = float(x)
+                    except (TypeError, ValueError, OverflowError) as exc:
+                        raise ValueError(f"{excerpt(x)} is not a float") from exc
+                    if not math.isfinite(x_float):
+                        raise ValueError(f"non-finite value {excerpt(x)}")
             object.__setattr__(self, "values", floats)
 
     @staticmethod
@@ -130,12 +150,10 @@ class SortedInstance:
 class SolverConfig:
     init_strategy: InitStrategy = InitStrategy.ALTERNATING
     seed: Optional[int] = None
-    traverse_guard_factor: int = 1
     collect_trace: bool = False
+    traverse_guard_factor: ClassVar[int] = 1  # a constant, not an option
 
     def __post_init__(self):
-        if self.traverse_guard_factor < 1:
-            raise ValueError("traverse_guard_factor must be a positive integer")
         if self.init_strategy is InitStrategy.RANDOM and self.seed is None:
             raise ValueError("RANDOM initialization requires a seed")
 
@@ -351,11 +369,13 @@ def run_traverse(
     the window is the opposing run (floor, n-1] plus the tie group, the
     opposing elements below floor whose value equals values[floor].  All
     tie-group members share one d', so only the lowest opposing member is
-    evaluated; `ties` holds the sweep's pointer per value group (keyed by
-    the group's first index, found by bisection), which walks up to it at
-    one candidate evaluation per step.  Below the floor, elements only move
-    from the opposing to the larger side within a sweep, so each pointer
-    only moves up.
+    evaluated; the sweep's one pointer `tie` walks up to it at one candidate
+    evaluation per step.  The floor only moves up, so its value group only
+    changes to a higher one, never back: the first time the floor has a tie
+    below it in a new group, `tie` is reset by one bisection to the group's
+    first index.  Below the floor, elements only move from the opposing to
+    the larger side within a sweep, so within a group the pointer only
+    moves up.
 
     The window is scanned upward.  Each d' is the one post-swap formula,
     d - 2*x_a + 2*x_b left to right with x_a the side-1 value, the cursor's
@@ -371,7 +391,8 @@ def run_traverse(
     d swaps with the last partner it scanned (everything before it has the
     opposite sign), so it costs one evaluation per index the floor passes,
     plus one; a cursor that does not swap moves the floor up to itself; and
-    the tie-group pointers only move up.  The sweep reads nothing from cfg.
+    the tie pointer only moves up within a group and never returns to one.
+    The sweep reads nothing from cfg.
     """
     metrics.traverses += 1
     if state.mode is Mode.FLOAT64:
@@ -380,7 +401,7 @@ def run_traverse(
     outcome = TraverseOutcome.COMPLETED
     evals = 0
     floor = -1
-    ties: dict = {}
+    tie_value = tie = None
     larger = d > 0 if d else None  # None skips every cursor
     for n, side in enumerate(in_set1):
         if side != larger:
@@ -388,14 +409,14 @@ def run_traverse(
             continue
         window = range(floor + 1, n)
         if floor > 0 and values[floor - 1] == values[floor]:
-            group = bisect.bisect_left(values, values[floor], 0, floor)
-            q = ties.get(group, group)
-            while q < floor and in_set1[q] == side:
-                q += 1
+            if values[floor] != tie_value:
+                tie_value = values[floor]
+                tie = bisect.bisect_left(values, tie_value, 0, floor)
+            while tie < floor and in_set1[tie] == side:
+                tie += 1
                 evals += 1
-            ties[group] = q
-            if q < floor:
-                window = itertools.chain((q,), window)
+            if tie < floor:
+                window = itertools.chain((tie,), window)
         x2 = 2 * values[n]
         c = d - x2
         partner, best = None, abs(d)
@@ -430,9 +451,8 @@ def run_traverse(
 
 
 def traverse_guard(n: int, mode: Mode, factor: int = 1) -> int:
-    """Sweep-count ceiling: N+2 exact, 2N+4 float, times the config factor."""
-    base = n + 2 if mode is Mode.EXACT_INT else 2 * n + 4
-    return factor * base
+    """Sweep-count ceiling: N+2 exact, 2N+4 float, times factor (solve uses 1)."""
+    return factor * (n + 2 if mode is Mode.EXACT_INT else 2 * n + 4)
 
 
 def solve(
@@ -452,7 +472,7 @@ def solve(
     state = init_partition(si, cfg, card1)
     metrics = Metrics()
     trace = [] if cfg.collect_trace else None
-    guard = traverse_guard(len(si), si.mode, cfg.traverse_guard_factor)
+    guard = traverse_guard(len(si), si.mode)
     while True:
         if metrics.traverses >= guard:
             raise InternalConsistencyError(

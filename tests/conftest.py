@@ -3,7 +3,7 @@
 import pytest
 
 from eqpart import bench
-from eqpart.core import Instance, PartitionState, normalize_and_sort
+from eqpart.core import Instance, InternalConsistencyError, PartitionState, normalize_and_sort
 
 
 def make_state(values, set1, mode=None):
@@ -28,5 +28,16 @@ def work_bound_breach(monkeypatch):
         report = real_solve(instance, cfg, card1)
         report.metrics.max_traverse_evaluations = 2 * len(instance) + 1
         return report
+
+    monkeypatch.setattr(bench, "solve", solve)
+
+
+@pytest.fixture
+def guard_trip(monkeypatch):
+    """Make every benchmarked solve raise the nontermination guard's error,
+    as solve does when a run reaches its sweep-count ceiling."""
+
+    def solve(instance, cfg, card1=None):
+        raise InternalConsistencyError("nontermination guard tripped after 3 traverses")
 
     monkeypatch.setattr(bench, "solve", solve)

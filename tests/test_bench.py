@@ -19,7 +19,7 @@ from eqpart.bench import (
     run_one,
     run_suite,
 )
-from eqpart.core import InitStrategy, Mode, SolverConfig
+from eqpart.core import InitStrategy, InternalConsistencyError, Mode, SolverConfig
 
 SMALL_SIZES = (16, 32, 64, 128)
 
@@ -101,6 +101,15 @@ def test_invariant_breach_aborts_with_seed(work_bound_breach):
     cfg = SolverConfig(init_strategy=InitStrategy.SPLIT_HALF)
     with pytest.raises(BenchInvariantError, match="seed=0"):
         run_one(GeneratorSpec("uniform_int", 64, 0, 1, 10**6), cfg)
+
+
+def test_guard_trip_aborts_with_seed(guard_trip):
+    # solve's own guard error, re-raised naming the run to replay
+    with pytest.raises(BenchInvariantError) as exc:
+        run_one(GeneratorSpec("uniform_int", 64, 7, 1, 10**6), SolverConfig())
+    assert str(exc.value) == ("nontermination guard tripped after 3 traverses "
+                              "(family=uniform_int, n=64, seed=7)")
+    assert type(exc.value.__cause__) is InternalConsistencyError
 
 
 @pytest.mark.parametrize(

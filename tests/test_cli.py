@@ -1,14 +1,20 @@
 """Tests for input parsing and the command-line surface."""
 
+import itertools
 import json
 import math
+import os
 import random
 import re
+import subprocess
+import sys
 from collections import Counter
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from eqpart import cli
 from eqpart.cli import InputFormatError, main, parse_input
 from eqpart.core import SUM_GUARD, Instance, Mode
 
@@ -61,16 +67,22 @@ def test_parse_integer_overflow():
     "token, message",
     [("9" * 5000, "exceeds the 2^62 integer guard"),
      ("-" + "0" * 5000 + "9" * 20, "exceeds the 2^62 integer guard"),
-     ("0" * 5000 + "1", "integer token of 5001 characters is too long")],
+     ("0" * 5000 + "1", "integer token of 5001 characters is too long"),
+     ("8" * 5000 + ".5", "'8888888888888888888888888888888888888888'... (5002 characters) "
+                         "is not finite"),
+     ("1" * 5000 + "x", "'1111111111111111111111111111111111111111'... (5001 characters) "
+                        "is not a number")],
 )
 def test_parse_integer_past_int_digit_limit(capsys, monkeypatch, token, message):
     # int() refuses more than 4300 digits, leading zeros included; the
-    # positioned error still names the token, and the CLI exits 1
+    # positioned error still names the token, cut to its first 40
+    # characters and its length, and the CLI exits 1
     with pytest.raises(InputFormatError, match="line 2, column 3: "):
         parse_input(f"1 2\n3 {token} 4\n".encode())
     code, out, err = run_cli(capsys, ["solve"], f"1 {token}", monkeypatch)
     assert code == 1 and out == ""
     assert err.startswith("error: line 1, column 3: ") and err.endswith(message + "\n")
+    assert len(err) < 160  # the 5000-character token is not echoed whole
 
 
 def test_parse_negative_and_signed():
@@ -78,7 +90,13 @@ def test_parse_negative_and_signed():
 
 
 _INT_TOKEN = re.compile(r"[+-]?\d+")
-_FLOAT_TOKEN = re.compile(r"[+-]?(\d+\.?\d*|\.\d+)([eE][+-]?\d+)?")
+_FLOAT_TOKEN = re.compile(r"[+-]?(?:\d+(?:\.\d*)?|\.\d+)(?:[eE][+-]?\d+)?")
+
+
+def _echo(tok):
+    """A token as error messages show it: quoted, and past 40 characters
+    cut to its first 40 and followed by its length."""
+    return repr(tok) if len(tok) <= 40 else f"{tok[:40]!r}... ({len(tok)} characters)"
 
 
 def reference_parse_input(data: bytes, mode: Mode | None = None) -> Instance:
@@ -104,7 +122,7 @@ def reference_parse_input(data: bytes, mode: Mode | None = None) -> Instance:
         if mode is Mode.EXACT_INT:
             if not _INT_TOKEN.fullmatch(tok):
                 raise InputFormatError(
-                    f"line {ln}, column {col}: {tok!r} is not an integer"
+                    f"line {ln}, column {col}: {_echo(tok)} is not an integer"
                 )
             try:
                 v = int(tok)
@@ -117,14 +135,14 @@ def reference_parse_input(data: bytes, mode: Mode | None = None) -> Instance:
                 v = SUM_GUARD  # at least 20 significant digits
             if abs(v) >= SUM_GUARD:
                 raise InputFormatError(
-                    f"line {ln}, column {col}: {tok!r} exceeds the 2^62 integer guard"
+                    f"line {ln}, column {col}: {_echo(tok)} exceeds the 2^62 integer guard"
                 )
         else:
             if not _FLOAT_TOKEN.fullmatch(tok):
-                raise InputFormatError(f"line {ln}, column {col}: {tok!r} is not a number")
+                raise InputFormatError(f"line {ln}, column {col}: {_echo(tok)} is not a number")
             v = float(tok)
             if not math.isfinite(v):
-                raise InputFormatError(f"line {ln}, column {col}: {tok!r} is not finite")
+                raise InputFormatError(f"line {ln}, column {col}: {_echo(tok)} is not finite")
         values.append(v)
     return Instance(tuple(values), mode)
 
@@ -158,6 +176,33 @@ def test_parse_matches_line_scan_reference(pieces, bad, at, mode):
     assert _parse_outcome(parse_input, data, mode) == _parse_outcome(
         reference_parse_input, data, mode
     )
+
+
+_OLD_FLOAT_TOKEN = re.compile(r"[+-]?(\d+\.?\d*|\.\d+)([eE][+-]?\d+)?")
+
+
+def test_float_token_pattern_accepts_what_the_old_one_did():
+    # the old pattern could split one digit run between \d+ and \d*, so a
+    # failed match took quadratic time; the rewrite must accept exactly the
+    # same tokens: every string of up to 6 characters over digits (ASCII
+    # and not), the other characters of a float token, and two others
+    alphabet = "09.eE+-x\u0663_"
+    strings = ["".join(p) for k in range(7) for p in itertools.product(alphabet, repeat=k)]
+    accepted = set(filter(_OLD_FLOAT_TOKEN.fullmatch, strings))
+    assert len(accepted) == 13554
+    assert set(filter(cli._FLOAT_TOKEN.fullmatch, strings)) == accepted
+
+
+def test_long_bad_float_token_fails_fast():
+    # a 10^5-digit run that ends in a character no number holds: exit 1,
+    # well inside the timeout (the old pattern took minutes on it)
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parent.parent / "src"))
+    proc = subprocess.run([sys.executable, "-m", "eqpart.cli", "solve"],
+                          input="1.5 " + "1" * 10**5 + "x\n", env=env, capture_output=True,
+                          text=True, timeout=30)
+    assert proc.returncode == 1 and proc.stdout == ""
+    assert proc.stderr == ("error: line 1, column 5: '1111111111111111111111111111111111111111'"
+                           "... (100001 characters) is not a number\n")
 
 
 # ----------------------------------------------------------------- CLI runs
@@ -378,6 +423,28 @@ def test_bench_split_init_aborts_exit_3(capsys, work_bound_breach):
     )
     assert code == 3
     assert "seed" in err
+
+
+def test_bench_guard_trip_exits_3_naming_the_seed(capsys, guard_trip):
+    code, out, err = run_cli(
+        capsys, ["bench", "--sizes", "16,32,64,128", "--reps", "1", "--seed", "4"],
+    )
+    assert code == 3 and out == ""
+    assert err == ("internal error: nontermination guard tripped after 3 traverses "
+                   "(family=uniform_int, n=16, seed=4)\n")
+
+
+def test_bench_huge_integer_family_message_is_short(capsys):
+    # near-equal with integral 1e300 parameters draws 301-digit integers; the
+    # guard error names the first one cut to 40 digits and its length
+    code, out, err = run_cli(
+        capsys, ["bench", "--family", "near-equal", "--p1", "1e300", "--p2", "1e300",
+                 "--sizes", "16,32,64,128", "--reps", "1"],
+    )
+    assert code == 2 and out == ""
+    assert err.startswith("error: |")
+    assert err.endswith("... (301 characters)| exceeds the 2^62 guard\n")
+    assert len(err) < 100
 
 
 @pytest.mark.parametrize(

@@ -85,6 +85,14 @@ def test_instance_int_validation_names_first_bad_value():
             Instance((0, bad, True), Mode.EXACT_INT)
     with pytest.raises(OverflowGuardError, match="got True"):
         Instance((0, True, SUM_GUARD), Mode.EXACT_INT)
+    # a huge value is cut to 40 characters and its length; one too long for
+    # str() is named by its bit length
+    with pytest.raises(OverflowGuardError,
+                       match=r"^\|10{39}\.\.\. \(301 characters\)\| exceeds the 2\^62 guard$"):
+        Instance((0, 10**300), Mode.EXACT_INT)
+    with pytest.raises(OverflowGuardError,
+                       match=r"^\|an integer of 16610 bits\| exceeds the 2\^62 guard$"):
+        Instance((0, 10**5000), Mode.EXACT_INT)
 
 
 def test_instance_float_validation_names_first_bad_value():
@@ -97,8 +105,19 @@ def test_instance_float_validation_names_first_bad_value():
     # float() would refuse "x", but the non-finite value before it is named
     with pytest.raises(ValueError, match="^non-finite value -inf$"):
         Instance((-math.inf, "x"), Mode.FLOAT64)
-    with pytest.raises(OverflowError):
+    # a value float() refuses is named in a ValueError, cut to 40 characters
+    with pytest.raises(ValueError,
+                       match=r"^10{39}\.\.\. \(401 characters\) is not a float$") as exc:
         Instance((1, 10**400, math.inf), Mode.FLOAT64)
+    assert type(exc.value.__cause__) is OverflowError
+    with pytest.raises(ValueError, match="^None is not a float$") as exc:
+        Instance.from_values([1.5, None])
+    assert type(exc.value.__cause__) is TypeError
+    with pytest.raises(ValueError, match="^'x' is not a float$") as exc:
+        Instance((1.5, "x", math.inf), Mode.FLOAT64)
+    assert type(exc.value.__cause__) is ValueError
+    with pytest.raises(ValueError, match=r"^non-finite value '9{40}'\.\.\. \(400 characters\)$"):
+        Instance((1.5, "9" * 400), Mode.FLOAT64)
 
 
 def test_empty_instance_constructs():
@@ -375,7 +394,23 @@ def test_run_traverse_tie_group_below_floor():
     assert metrics.candidate_evaluations == 12
 
 
-def test_apply_swap_unchanged():
+def test_run_traverse_tie_pointer_resets_in_a_new_group():
+    # d = 8 - 6 = 2, larger side 1 = {1, 5, 6}.  Cursor 1 (value 1) scores
+    # index 0 (d' = 2, no gain) and becomes the floor, in the group of 1s.
+    # Cursor 5 (value 3) scores the tie at index 0 and the run 2..4 (d' =
+    # -2, -2, -2, 2), does not swap and becomes the floor, in the group of
+    # 3s: the pointer must leave index 0 for that group's first index, 4,
+    # whose d' = 2 - 8 + 6 is 0 for cursor 6.  A pointer left in the 1s
+    # would score index 0 (d' = -4) and miss the swap.
+    outcome, events, metrics, state = _sweep([1, 1, 1, 1, 3, 3, 4], {1, 5, 6})
+    assert outcome is TraverseOutcome.ZERO_REACHED
+    assert events == [(6, 4, 2, 0, TraverseOutcome.ZERO_REACHED)]
+    # 4 skips + cursor 1 (1) + cursor 5 (4) + cursor 6 (1)
+    assert metrics.candidate_evaluations == 10
+    assert state.in_set1 == [False, True, False, False, True, True, False]
+
+
+def test_sweep_swap_keeping_the_sign_goes_on():
     # a swap that keeps d's sign lets the sweep go on; exact mode keeps d
     # bit for bit
     state = make_state([1, 2, 3, 8], {0, 2})
@@ -385,14 +420,14 @@ def test_apply_swap_unchanged():
     recompute_sums(state)  # exact mode: must agree bit for bit
 
 
-def test_apply_swap_zero():
+def test_sweep_swap_to_zero_ends_the_sweep():
     outcome, events, metrics, state = _sweep([1, 2, 3, 4], {0, 2})
     assert outcome is TraverseOutcome.ZERO_REACHED and state.d == 0
     assert events == [(1, 0, -2, 0, TraverseOutcome.ZERO_REACHED)]
     assert metrics.candidate_evaluations == 2  # 1 skip + 1 scanned
 
 
-def test_apply_swap_flipped_float():
+def test_sweep_float_swap_flipping_the_sign_ends_the_sweep():
     # float d = fsum(0.0, 0.7, 0.9) - fsum(0.1, 0.2, 0.5); cursor 4 (0.7)
     # scores indices 1, 2, 3 and stops at 3, where d' regains d's sign.
     # The best, index 2, flips the sign; its d' is the new d as computed,
@@ -845,3 +880,7 @@ def test_traverse_guard_values():
     assert traverse_guard(10, Mode.EXACT_INT) == 12
     assert traverse_guard(10, Mode.FLOAT64) == 24
     assert traverse_guard(10, Mode.EXACT_INT, factor=3) == 36
+    # the factor is a constant, not an option
+    assert SolverConfig().traverse_guard_factor == SolverConfig.traverse_guard_factor == 1
+    with pytest.raises(TypeError):
+        SolverConfig(traverse_guard_factor=2)
