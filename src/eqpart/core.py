@@ -31,19 +31,19 @@ from typing import ClassVar, Optional
 SUM_GUARD = 1 << 62
 
 
-def excerpt(x, limit: int = 40) -> str:
+def excerpt(x) -> str:
     """repr(x) for an error message.  A str, or the repr of anything else,
-    longer than `limit` is cut to its first `limit` characters and followed
-    by its full length, so one huge input cannot flood the message."""
+    longer than 40 characters is cut to its first 40 and followed by its
+    full length, so one huge input cannot flood the message."""
     try:
         text = x if isinstance(x, str) else repr(x)
     except ValueError:  # str() of an int past the interpreter's digit limit
         if not isinstance(x, int):
             raise
         return f"an integer of {x.bit_length()} bits"
-    if len(text) <= limit:
+    if len(text) <= 40:
         return repr(x)
-    head = repr(text[:limit]) if isinstance(x, str) else text[:limit]
+    head = repr(text[:40]) if isinstance(x, str) else text[:40]
     return f"{head}... ({len(text)} characters)"
 
 
