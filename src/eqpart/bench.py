@@ -12,9 +12,9 @@ sweep keeps a floor (the highest larger-side index below the cursor) that
 only moves up, each cursor scans its partners upward from the floor and
 stops at the first one whose post-swap difference is zero or keeps d's
 sign, and ties below the floor are reached by one per-sweep pointer that
-only moves up.  So a skipped cursor costs 1, a scanning cursor about one
-evaluation per index the floor passes plus one, and a sweep about N + N
-(see core.run_traverse).
+only moves up.  So a skipped cursor costs 1 (counted in bulk), a cursor
+with an empty window 0, a scanning cursor about one evaluation per index
+the floor passes plus one, and a sweep about N + N (see core.run_traverse).
 """
 
 from __future__ import annotations

@@ -65,6 +65,10 @@ class TraverseOutcome(enum.Enum):
     ZERO_REACHED = "zero_reached"
 
 
+# the sweep's outcomes as module globals: no class-attribute lookup per swap
+_COMPLETED, _SIGN_FLIPPED, _ZERO_REACHED = TraverseOutcome
+
+
 class PartitionError(Exception):
     """Base class for all solver errors."""
 
@@ -392,58 +396,78 @@ def run_traverse(
     opposite sign), so it costs one evaluation per index the floor passes,
     plus one; a cursor that does not swap moves the floor up to itself; and
     the tie pointer only moves up within a group and never returns to one.
-    The sweep reads nothing from cfg.
+
+    Only cursors that can swap pay for a visit.  The sweep jumps from one
+    larger-side cursor to the next with list.index and counts the skipped
+    cursors in between, and those above the last larger-side cursor of a
+    completed sweep, in bulk (all N at once when d == 0).  A larger-side
+    cursor right above the floor (floor == n-1) with no tie group below the
+    floor has an empty window: it becomes the floor at 0 evaluations, before
+    any scan set-up.  Each cursor counts what a visit would count, so the 2N
+    argument is unchanged.  The sweep reads nothing from cfg.
     """
     metrics.traverses += 1
     if state.mode is Mode.FLOAT64:
         recompute_sums(state)
     values, in_set1, d = state.values, state.in_set1, state.d
-    outcome = TraverseOutcome.COMPLETED
-    evals = 0
-    floor = -1
+    outcome = _COMPLETED
+    abs_d = abs(d)
+    evals = swaps = 0
+    floor = n = -1  # n: the last larger-side cursor visited
     tie_value = tie = None
-    larger = d > 0 if d else None  # None skips every cursor
-    for n, side in enumerate(in_set1):
-        if side != larger:
-            evals += 1
+    larger = d > 0 if d else None  # None matches no cursor: the tail count takes all N
+    find = in_set1.index
+    while True:
+        after = n + 1
+        try:
+            n = find(larger, after)
+        except ValueError:
+            break
+        evals += n - after  # the smaller-side cursors jumped over
+        if floor == n - 1 and not (floor > 0 and values[floor - 1] == values[floor]):
+            floor = n  # empty window: no run above the floor, no tie group below it
             continue
         window = range(floor + 1, n)
         if floor > 0 and values[floor - 1] == values[floor]:
             if values[floor] != tie_value:
                 tie_value = values[floor]
                 tie = bisect.bisect_left(values, tie_value, 0, floor)
-            while tie < floor and in_set1[tie] == side:
+            while tie < floor and in_set1[tie] == larger:
                 tie += 1
                 evals += 1
             if tie < floor:
                 window = itertools.chain((tie,), window)
         x2 = 2 * values[n]
         c = d - x2
-        partner, best = None, abs(d)
+        partner, best = None, abs_d
         for j in window:
             evals += 1
-            new_d = c + 2 * values[j] if side else d - 2 * values[j] + x2
+            new_d = c + 2 * values[j] if larger else d - 2 * values[j] + x2
             if abs(new_d) < best:
                 partner, best, best_d = j, abs(new_d), new_d
-            if new_d == 0 or (new_d > 0) == side:
+            if new_d == 0 or (new_d > 0) == larger:
                 break
         if partner is None:
             floor = n
             continue
-        floor = max(floor, partner)
+        if partner > floor:
+            floor = partner
         in_set1[n], in_set1[partner] = not larger, larger
-        metrics.swaps += 1
+        swaps += 1
         if best_d == 0:
-            outcome = TraverseOutcome.ZERO_REACHED
+            outcome = _ZERO_REACHED
         elif (best_d > 0) != larger:
-            outcome = TraverseOutcome.SIGN_FLIPPED
+            outcome = _SIGN_FLIPPED
             metrics.sign_changes += 1
         if trace is not None:
             trace.append(SwapEvent(n, partner, d, best_d, outcome))
-        d = best_d
-        if outcome is not TraverseOutcome.COMPLETED:
+        d, abs_d = best_d, best
+        if outcome is not _COMPLETED:
             break
+    if outcome is _COMPLETED:
+        evals += len(in_set1) - n - 1  # the smaller-side cursors above the last
     state.d = d
+    metrics.swaps += swaps
     metrics.candidate_evaluations += evals
     if evals > metrics.max_traverse_evaluations:
         metrics.max_traverse_evaluations = evals

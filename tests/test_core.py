@@ -312,7 +312,7 @@ def _sweep(values, set1, mode=None):
     return outcome, events, metrics, state
 
 
-def test_find_best_swap_no_improvement():
+def test_sweep_without_an_improving_partner_completes():
     # side1 = {2,3}, side2 = {1,8}, d=-4: the larger side 2 has no improving
     # partner.  Cursor 0 has an empty window and becomes the floor; cursor 3
     # (value 8) scores 2 -> 8 and 3 -> 6, and the window stops before index 0
@@ -322,7 +322,7 @@ def test_find_best_swap_no_improvement():
     assert state.d == -4 and state.in_set1 == [False, True, True, False]
 
 
-def test_find_best_swap_hit():
+def test_sweep_swaps_with_the_best_partner_below():
     # alternating start on {1,2,3,8}, d=-6: cursor 1 swaps with index 0
     # (d' = -6 - 2*1 + 2*2 = -4); cursor 3 then scores indices 1 and 2
     # (8 and 6) and keeps its place
@@ -339,14 +339,20 @@ def test_find_best_swap_hit():
     assert metrics.candidate_evaluations == 5  # 2 skips + 1 + 2
 
 
-def test_find_best_swap_zero_diff():
-    # d == 0: every cursor is skipped, one evaluation each
+def test_sweep_with_zero_difference_skips_every_cursor():
+    # d == 0: there is no larger side, so every cursor is skipped, one
+    # evaluation each, counted all at once
     outcome, events, metrics, _ = _sweep([5, 5], {0})
     assert outcome is TraverseOutcome.COMPLETED and events == []
     assert metrics.candidate_evaluations == 2
 
+    outcome, events, metrics, state = _sweep([1, 2, 3, 4, 5, 6, 7, 8], {0, 3, 4, 7})
+    assert outcome is TraverseOutcome.COMPLETED and events == [] and state.d == 0
+    assert metrics.candidate_evaluations == 8 and metrics.swaps == 0
+    assert state.in_set1 == [True, False, False, True, True, False, False, True]
 
-def test_find_best_swap_tie_picks_smallest_index():
+
+def test_sweep_tied_partners_pick_the_lowest_index():
     # d = 10, cursor 2 (value 8): index 0 gives 10 - 16 + 4 = -2 and index
     # 1 gives 10 - 16 + 8 = 2.  |d'| ties; the first strict minimum, the
     # lower index, wins, and the scan stops at index 1 (d' has d's sign)
@@ -357,7 +363,7 @@ def test_find_best_swap_tie_picks_smallest_index():
     assert (metrics.swaps, metrics.sign_changes) == (1, 1)
 
 
-def test_find_best_swap_window_stops_at_same_side():
+def test_sweep_window_stops_at_the_floor():
     # membership side2,side1,side2,cursor,side1,side2 and d = 39 - 37 = 2:
     # cursor 1 (value 9) scores index 0 (2 - 18 + 10 = -6), does not swap
     # and becomes the floor, so cursor 3 (value 14) scans only index 2
@@ -368,7 +374,7 @@ def test_find_best_swap_window_stops_at_same_side():
     assert metrics.candidate_evaluations == 4  # 2 skips + 1 + 1
 
 
-def test_find_best_swap_tie_group_below_floor():
+def test_sweep_takes_the_lowest_tie_below_the_floor():
     # d = 2, larger side 1 = {0, 3, 6, 7}.  Cursor 0 becomes the floor;
     # cursor 3 scores index 1 (d' = 2, no gain, d's sign) and becomes the
     # floor.  Cursor 6 (value 2) has opposing 1s in the run (4, 5) and below
@@ -379,6 +385,48 @@ def test_find_best_swap_tie_group_below_floor():
     assert events == [(6, 1, 2, 0, TraverseOutcome.ZERO_REACHED)]
     # 4 skips + cursor 3 (1) + cursor 6 (one pointer step, one evaluation)
     assert metrics.candidate_evaluations == 7
+
+
+def test_sweep_empty_windows_become_the_floor_for_free():
+    # d = 19 - 18 = 1 with distinct ints: no swap gains.  Cursor 2 scores
+    # indices 0 and 1 and becomes the floor; cursors 3 and 4 sit right above
+    # the floor with no tie below it, so their windows are empty and each
+    # becomes the floor at 0 evaluations.  Cursor 6 scores index 5.
+    outcome, events, metrics, state = _sweep([1, 2, 3, 4, 5, 6, 7, 9], {2, 3, 4, 6})
+    assert outcome is TraverseOutcome.COMPLETED and events == []
+    # skips 0, 1 + cursor 2 (2) + cursors 3, 4 (0) + skip 5 + cursor 6 (1)
+    # + skip 7
+    assert metrics.candidate_evaluations == 7
+    assert state.d == 1
+
+
+def test_sweep_tie_below_the_floor_keeps_the_window_open():
+    # the same run with index 1 tied with the floor's value 3 (d = 19 -
+    # 18 = 1): cursor 3 sits right above the floor, but its window holds
+    # the opposing tie at index 1 (d' = 1 - 8 + 6 = -1, no gain); cursor 4,
+    # above a floor of 4s with no tie, has an empty window again
+    outcome, events, metrics, _ = _sweep([0, 3, 3, 4, 5, 6, 7, 9], {2, 3, 4, 6})
+    assert outcome is TraverseOutcome.COMPLETED and events == []
+    # skips 0, 1 + cursor 2 (2) + cursor 3 (1) + cursor 4 (0) + skip 5
+    # + cursor 6 (1) + skip 7
+    assert metrics.candidate_evaluations == 8
+
+    # with d = 19 - 17 = 2 the tie is cursor 3's zero swap
+    outcome, events, metrics, _ = _sweep([0, 3, 3, 4, 5, 6, 7, 8], {2, 3, 4, 6})
+    assert outcome is TraverseOutcome.ZERO_REACHED
+    assert events == [(3, 1, 2, 0, TraverseOutcome.ZERO_REACHED)]
+    assert metrics.candidate_evaluations == 5  # skips 0, 1 + cursor 2 (2) + 1
+
+
+def test_sweep_last_larger_cursor_at_the_top_index():
+    # d = 19 - 18 = 1, larger side 1 = {0, 1, 6, 7}.  Cursors 0 and 1 have
+    # empty windows; cursor 6 scores the run 2..5; cursor 7, the top index,
+    # has an empty window, and no skipped cursor is left above it.
+    outcome, events, metrics, state = _sweep([1, 2, 3, 4, 5, 6, 7, 9], {0, 1, 6, 7})
+    assert outcome is TraverseOutcome.COMPLETED and events == []
+    # cursors 0, 1 (0) + skips 2..5 + cursor 6 (4) + cursor 7 (0)
+    assert metrics.candidate_evaluations == 8
+    assert state.d == 1
 
 
 def test_run_traverse_tie_group_below_floor():
@@ -577,13 +625,28 @@ _decimal_floats = st.tuples(
 ).map(lambda p: p[0] * p[1])
 
 
+def _block_membership(data, n):
+    """A start in runs of one side over the sorted indices, as split init
+    makes: long runs of larger-side cursors, many of them right above a
+    floor."""
+    side = data.draw(st.booleans())
+    runs = data.draw(st.lists(st.integers(1, max(1, n // 2)), min_size=1, max_size=8))
+    membership = []
+    for run in runs:
+        membership += [side] * run
+        side = not side
+    return (membership + [side] * n)[:n]
+
+
 @given(
     st.one_of(
         st.lists(st.integers(-50, 50), min_size=2, max_size=40),
         st.lists(st.integers(0, 3), min_size=2, max_size=40),
         st.lists(_decimal_floats, min_size=2, max_size=40),
+        st.lists(st.integers(1, 10**6), min_size=2, max_size=200),
+        st.lists(st.integers(0, 9), min_size=2, max_size=200),
     ),
-    st.sampled_from(ALL_STRATEGIES),
+    st.sampled_from(ALL_STRATEGIES + [None]),  # None: a block-structured start
     st.booleans(),
     st.data(),
 )
@@ -594,10 +657,16 @@ def test_sweep_matches_reference(values, cfg, pinned, data):
     card1 = data.draw(st.integers(1, len(values) - 1)) if pinned else None
     if card1 is None and len(values) % 2:
         values = values[:-1]
+    start = contextlib.nullcontext()
+    if cfg is None:
+        blocks = _block_membership(data, len(values))
+        start = mock.patch.object(core, "_initial_membership", lambda *_: list(blocks))
+        cfg = SolverConfig()
     cfg = dataclasses.replace(cfg, collect_trace=True)
-    with mock.patch.object(core, "run_traverse", reference_sweep):
-        expected = _solve_outcome(values, cfg, card1)
-    assert _solve_outcome(values, cfg, card1) == expected
+    with start:
+        with mock.patch.object(core, "run_traverse", reference_sweep):
+            expected = _solve_outcome(values, cfg, card1)
+        assert _solve_outcome(values, cfg, card1) == expected
 
 
 # ---------------------------------------------------------------------- solve
