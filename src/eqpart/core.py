@@ -9,9 +9,9 @@ run of opposing-side elements immediately below the cursor for the partner
 whose swap most shrinks the difference.  A sign flip of S1 - S2 restarts the
 sweep; a completed sweep (or an exact zero) terminates.
 
-Two numeric modes: exact 64-bit-guarded integers (all comparisons exact) and
-float64 (incrementally maintained difference, exactly-rounded recomputation
-at every sweep start and at emission).
+One numeric path: the descent runs on exact Python ints, the input's own
+(guarded below 2^62) or, for floats, the input times one power of two
+(scaled_ints); float results are rounded back to input units at emission.
 """
 
 from __future__ import annotations
@@ -48,6 +48,8 @@ def excerpt(x) -> str:
 
 
 class Mode(enum.Enum):
+    """The input's kind; the descent runs on ints for both (see scaled_ints)."""
+
     EXACT_INT = "int"
     FLOAT64 = "float"
 
@@ -193,16 +195,17 @@ class SwapEvent:
 class PartitionState:
     """Membership of each sorted index plus the maintained difference.
 
-    in_set1[i] is True when sorted index i belongs to side 1.  d, the side-1
-    sum minus the side-2 sum, is the one number the descent maintains; in
-    exact mode it matches a from-scratch recomputation bit for bit at all
-    times, in float mode at every traverse start (see recompute_sums).
+    in_set1[i] is True when sorted index i belongs to side 1; d is the side-1
+    sum minus the side-2 sum.  The descent's state holds exact ints, the
+    input values times scale (see scaled_ints); a FLOAT64 state holds
+    input-unit floats, and d is the exact difference rounded.
     """
 
     values: tuple
     in_set1: list
     d: float | int
     mode: Mode
+    scale: int = 1
 
     def set1_indices(self) -> tuple:
         return tuple(itertools.compress(range(len(self.in_set1)), self.in_set1))
@@ -214,16 +217,16 @@ class PartitionState:
     @classmethod
     def from_membership(cls, values: tuple, in_set1: list, mode: Mode) -> "PartitionState":
         """State for side 1 = the indices marked in in_set1, d from exact sums."""
-        return cls(values, in_set1, _side_diff(values, in_set1, mode), mode)
+        if mode is Mode.EXACT_INT:
+            return cls(values, in_set1, _side_diff(values, in_set1), mode)
+        ints, scale = scaled_ints(values)
+        return cls(values, in_set1, _side_diff(ints, in_set1) / scale, mode)
 
 
 @dataclass(frozen=True)
 class SolveReport:
-    """Final partition plus instrumentation.
-
-    maintained_drift is |incrementally maintained d - recomputed d| at
-    emission; always 0 in exact mode.
-    """
+    """Final partition plus instrumentation, in input units.  maintained_drift
+    is always 0: the descent is exact."""
 
     partition: PartitionState
     objective: float | int
@@ -235,18 +238,27 @@ class SolveReport:
     maintained_drift: float = 0.0
 
 
-def _sum_values(values, mode: Mode):
-    """Exact sum: integer arithmetic in exact mode, fsum (exactly rounded)
-    in float mode."""
-    if mode is Mode.EXACT_INT:
-        return sum(values)
-    return math.fsum(values)
+def scaled_ints(values) -> tuple:
+    """(ints, scale) with values[i] * scale == ints[i] exactly, for floats.
+
+    Every finite float is an integer times a power of two.  scale = 2^k, k
+    the least k >= 0 that makes the smallest nonzero |x|, and so every |x|,
+    an integer.  Where 2^k or some |x| * 2^k passes the float range
+    (subnormals, very wide ranges), float.as_integer_ratio scales instead.
+    """
+    smallest = min(filter(None, map(abs, values)), default=1.0)
+    k = max(53 - math.frexp(smallest)[1], 0)
+    scale = 1 << k
+    try:
+        return tuple(map(int, map(math.ldexp(1.0, k).__mul__, values))), scale
+    except OverflowError:  # ldexp past the range, or int() of an infinite product
+        return tuple(p * (scale // q) for p, q in map(float.as_integer_ratio, values)), scale
 
 
-def _side_diff(values, in_set1, mode: Mode):
-    """s1 - s2 of the sides marked by in_set1, each side summed exactly."""
-    s1 = _sum_values(itertools.compress(values, in_set1), mode)
-    return s1 - _sum_values(itertools.compress(values, map(operator.not_, in_set1)), mode)
+def _side_diff(values, in_set1):
+    """s1 - s2 of the sides marked by in_set1."""
+    s1 = sum(itertools.compress(values, in_set1))
+    return s1 - sum(itertools.compress(values, map(operator.not_, in_set1)))
 
 
 def normalize_and_sort(instance: Instance) -> SortedInstance:
@@ -257,7 +269,7 @@ def normalize_and_sort(instance: Instance) -> SortedInstance:
     total = sum(map(abs, values))
     if instance.mode is Mode.EXACT_INT and total >= SUM_GUARD:
         raise OverflowGuardError(f"sum of |values| = {total} exceeds the 2^62 guard")
-    if not math.isfinite(4 * total):  # bounds the side sums, d and every d - 2*x_a + 2*x_b
+    if not math.isfinite(4 * total):  # every d rounds back to a finite float
         raise OverflowGuardError(
             f"sum of |values| = {total} is too large for float mode (4 * sum must be finite)"
         )
@@ -270,9 +282,8 @@ def normalize_and_sort(instance: Instance) -> SortedInstance:
     )
 
 
-def _initial_membership(si: SortedInstance, cfg: SolverConfig, card1: int) -> list:
-    n = len(si)
-    xs = si.sorted_values
+def _initial_membership(xs: tuple, cfg: SolverConfig, card1: int) -> list:
+    n = len(xs)
     in_set1 = [False] * n
     if cfg.init_strategy is InitStrategy.ALTERNATING:
         # Bresenham spread of card1 slots over n indices; reduces to
@@ -325,25 +336,21 @@ def side1_cardinality(n: int, card1: Optional[int]) -> int:
 def init_partition(
     si: SortedInstance, cfg: SolverConfig, card1: Optional[int] = None
 ) -> PartitionState:
-    """Build the starting partition with side1_cardinality(N, card1) elements
-    on side 1."""
+    """Build the descent's starting state, on ints (see PartitionState), with
+    side1_cardinality(N, card1) elements on side 1."""
     card1 = side1_cardinality(len(si), card1)
-    return PartitionState.from_membership(
-        si.sorted_values, _initial_membership(si, cfg, card1), si.mode
-    )
+    exact = si.mode is Mode.EXACT_INT
+    values, scale = (si.sorted_values, 1) if exact else scaled_ints(si.sorted_values)
+    in_set1 = _initial_membership(values, cfg, card1)
+    return PartitionState(values, in_set1, _side_diff(values, in_set1), Mode.EXACT_INT, scale)
 
 
 def recompute_sums(state: PartitionState) -> PartitionState:
-    """Recompute d from scratch and refresh the state in place.
-
-    Float mode uses exactly-rounded summation to cancel incremental drift.
-    Exact mode instead asserts the maintained d is already identical; a
-    mismatch means a bug, not input trouble.
-    """
-    d = _side_diff(state.values, state.in_set1, state.mode)
-    if state.mode is Mode.EXACT_INT and d != state.d:
+    """Recompute d exactly, as from_membership does, and check it against
+    the maintained d; a mismatch means a bug, not input trouble."""
+    d = PartitionState.from_membership(state.values, state.in_set1, state.mode).d
+    if d != state.d:
         raise InternalConsistencyError(f"maintained d {state.d} != recomputed {d}")
-    state.d = d
     return state
 
 
@@ -381,14 +388,12 @@ def run_traverse(
     the larger side within a sweep, so within a group the pointer only
     moves up.
 
-    The window is scanned upward.  Each d' is the one post-swap formula,
-    d - 2*x_a + 2*x_b left to right with x_a the side-1 value, the cursor's
-    term hoisted (c = d - 2*x_n, then c + 2*x_j, on side 1); the chosen d'
-    becomes the new d as computed.  d' is monotone in the partner's value,
-    float rounding included (one rounded addition of a constant to a
-    monotone term), so |d'| is V-shaped over the window: the scan stops
-    after the first partner whose d' is zero or has d's sign, and keeps the
-    first strict minimum, i.e. the smallest partner index on ties.
+    The window is scanned upward.  Each d' is d - 2*x_a + 2*x_b, x_a the
+    side-1 value, with the cursor's term hoisted; the chosen d' becomes the
+    new d.  On ints d' is exact and monotone in the partner's value, so |d'|
+    is V-shaped over the window: the scan stops after the first partner
+    whose d' is zero or has d's sign, and keeps the first strict minimum,
+    i.e. the smallest partner index on ties.
 
     Per sweep this costs at most about 2N candidate evaluations: each
     skipped cursor costs 1; a scanning cursor that neither flips nor zeroes
@@ -407,8 +412,6 @@ def run_traverse(
     argument is unchanged.  The sweep reads nothing from cfg.
     """
     metrics.traverses += 1
-    if state.mode is Mode.FLOAT64:
-        recompute_sums(state)
     values, in_set1, d = state.values, state.in_set1, state.d
     outcome = _COMPLETED
     abs_d = abs(d)
@@ -474,9 +477,9 @@ def run_traverse(
     return outcome
 
 
-def traverse_guard(n: int, mode: Mode, factor: int = 1) -> int:
-    """Sweep-count ceiling: N+2 exact, 2N+4 float, times factor (solve uses 1)."""
-    return factor * (n + 2 if mode is Mode.EXACT_INT else 2 * n + 4)
+def traverse_guard(n: int, mode: Optional[Mode] = None, factor: int = 1) -> int:
+    """Sweep-count ceiling: N+2 for every mode, times factor (solve uses 1)."""
+    return factor * (n + 2)
 
 
 def solve(
@@ -496,7 +499,7 @@ def solve(
     state = init_partition(si, cfg, card1)
     metrics = Metrics()
     trace = [] if cfg.collect_trace else None
-    guard = traverse_guard(len(si), si.mode)
+    guard = traverse_guard(len(si))
     while True:
         if metrics.traverses >= guard:
             raise InternalConsistencyError(
@@ -505,9 +508,13 @@ def solve(
         outcome = run_traverse(state, cfg, metrics, trace)
         if outcome is not TraverseOutcome.SIGN_FLIPPED:
             break
-    maintained_d = state.d
     recompute_sums(state)
-    drift = abs(maintained_d - state.d) if si.mode is Mode.FLOAT64 else 0.0
+    if si.mode is Mode.FLOAT64:  # back to input units, each d rounded once
+        scale = state.scale
+        state = PartitionState(si.sorted_values, state.in_set1, state.d / scale, si.mode)
+        if trace:
+            trace = [SwapEvent(e.cursor, e.partner, e.d_before / scale, e.d_after / scale,
+                               e.outcome) for e in trace]
     member = [False] * len(si)  # side 1 scattered back to input order
     for i in itertools.compress(si.perm, state.in_set1):
         member[i] = True
@@ -522,34 +529,34 @@ def solve(
         original_set2=set2,
         sorted_instance=si,
         trace=tuple(trace) if trace is not None else (),
-        maintained_drift=drift,
     )
 
 
 def is_locally_optimal_pairswap(state: PartitionState, tolerance: float = 0.0) -> bool:
-    """True iff no cross-side swap drops |d| below |d| - tolerance.
+    """True iff no cross-side swap drops |d| below |d| - tolerance (in input
+    units), decided exactly: a FLOAT64 state on the ints of scaled_ints.
+    For ints, |d'| < |d| - T iff |d'| < |d| - floor(T), T = tolerance * scale.
 
     One merge over the two sides' value lists, each sorted (already sorted
-    for solver states, which timsort sees in one pass).
-
-    For a side-1 value x_a, the post-swap difference with a side-2 value x_b
-    is c + 2*x_b, c = d - 2*x_a computed once per x_a: exactly the sweep's
-    left-to-right d - 2*x_a + 2*x_b, so float verdicts round as its swaps.  It
-    is monotone nondecreasing in x_b, float rounding included: one rounded
-    addition of 2*x_b to a constant, and rounding is monotone.  So over side
-    2 in ascending order |d'| falls until d' crosses zero and rises after
-    it, and only the two partners around the crossing (the last with d' < 0
-    and the first with d' >= 0) can be x_a's best swap.  As x_a grows, c can
-    only shrink, so every d' can only shrink and the crossing only moves
-    right: one pointer over side 2 serves all of side 1.
+    for solver states, which timsort sees in one pass).  For a side-1 value
+    x_a, the post-swap difference with a side-2 value x_b is c + 2*x_b,
+    c = d - 2*x_a computed once per x_a, monotone nondecreasing in x_b.  So
+    over side 2 in ascending order |d'| falls until d' crosses zero and
+    rises after it, and only the two partners around the crossing (the
+    last with d' < 0 and the first with d' >= 0) can be x_a's best swap.
+    As x_a grows, c can only shrink, so every d' can only shrink and the
+    crossing only moves right: one pointer over side 2 serves all of side 1.
     oracle.pairswap_witness is the all-pairs reference this must agree with,
     and names a violating pair.
     """
-    d = state.d
-    side1 = sorted(itertools.compress(state.values, state.in_set1))
-    side2 = sorted(itertools.compress(state.values, map(operator.not_, state.in_set1)))
-    # exact when tolerance is 0: an int |d| past 2^53 must not round
-    threshold = abs(d) - tolerance if tolerance else abs(d)
+    values, d, scale = state.values, state.d, state.scale
+    if state.mode is Mode.FLOAT64:
+        values, scale = scaled_ints(values)
+        d = _side_diff(values, state.in_set1)
+    side1 = sorted(itertools.compress(values, state.in_set1))
+    side2 = sorted(itertools.compress(values, map(operator.not_, state.in_set1)))
+    num, den = tolerance.as_integer_ratio()
+    threshold = abs(d) - num * scale // den
     m = len(side2)
     p = 0
     for x_a in side1:

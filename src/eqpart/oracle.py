@@ -1,33 +1,34 @@
 """Exhaustive ground-truth solvers for small instances.
 
 Everything here enumerates or scans all pairs.  The only logic shared with
-the production solver is setup: the cardinality rule, the sort, the initial
-partition and the exact side sums (core._side_diff, which the state
-constructor PartitionState.from_membership uses too).  The searches, the
-post-swap differences (inlined in core's sweep and verifier) and the
-local-optimality tests are written out again here, so these routines serve
-as the independent check of its output.  The equal-cardinality enumeration
-caps at N = 24 (C(24,12)/2 is about 1.35M bipartitions) and refuses larger
-inputs outright.
+the production solver is setup: the cardinality rule, the sort and the
+initial membership.  The arithmetic, the searches and the local-optimality
+tests are written out again, so these routines serve as the independent
+check of its output: values become exact numerators over the lcm of their
+as_integer_ratio denominators (core uses a power-of-two scale of its own),
+and d is rounded to input units only when reported.  The equal-cardinality
+enumeration caps at N = 24 (C(24,12)/2 is about 1.35M bipartitions) and
+refuses larger inputs outright.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import time
 from dataclasses import dataclass
-from itertools import combinations, product
+from itertools import combinations, compress, product
 from typing import Iterator, Optional
 
 from .core import (
     Instance,
     InvalidCardinalityError,
     Metrics,
+    Mode,
     PartitionError,
     PartitionState,
     SolveReport,
     SolverConfig,
-    _side_diff,
     init_partition,
     normalize_and_sort,
     side1_cardinality,
@@ -59,16 +60,39 @@ def _check_enumerable(n: int, card1: Optional[int]) -> int:
     return card1
 
 
+@functools.lru_cache(maxsize=1)  # an enumeration checks every state's same values
+def _numerators(values: tuple) -> tuple:
+    """(numerators, denominator) with values[i] == numerators[i] / denominator
+    exactly: the values over the lcm of their as_integer_ratio denominators."""
+    ratios = [x.as_integer_ratio() for x in values]
+    den = math.lcm(*(q for _, q in ratios))
+    return tuple(p * (den // q) for p, q in ratios), den
+
+
+def _in_units(d: int, den: int, mode: Mode):
+    """d / den in input units: an int, or the correctly rounded float."""
+    return d / den if mode is Mode.FLOAT64 else d
+
+
+def _diff(nums, in_set1) -> int:
+    """Exact s1 - s2 over the numerators, side 1 marked by in_set1."""
+    return 2 * sum(compress(nums, in_set1)) - sum(nums)
+
+
 def pairswap_witness(state: PartitionState, tolerance: float = 0.0):
     """First (side1_index, side2_index) pair, in index order, whose swap drops
     |d| below |d| - tolerance; None if the state is pair-swap locally optimal.
 
     The all-pairs O(N^2) reference for core.is_locally_optimal_pairswap.
+    Exact: d is summed afresh from the values, and tolerance joins them over
+    the common denominator.
     """
-    bound = abs(state.d) - tolerance if tolerance else abs(state.d)
+    *nums, tol = _numerators((*state.values, tolerance))[0]
+    d = _diff(nums, state.in_set1)
+    side2 = state.set2_indices()
     for a in state.set1_indices():
-        for b in state.set2_indices():
-            if abs(state.d - 2 * state.values[a] + 2 * state.values[b]) < bound:
+        for b in side2:
+            if abs(d - 2 * nums[a] + 2 * nums[b]) < abs(d) - tol:
                 return a, b
     return None
 
@@ -76,7 +100,8 @@ def pairswap_witness(state: PartitionState, tolerance: float = 0.0):
 def enumerate_equal_partitions(
     instance: Instance, card1: Optional[int] = None
 ) -> Iterator[PartitionState]:
-    """Yield every unordered equal-cardinality bipartition exactly once.
+    """Yield every unordered equal-cardinality bipartition exactly once, in
+    input units.
 
     Sorted index 0 is pinned to side 1, which kills the label symmetry.
     With card1 = k, yield every side-1 set of size k instead; index 0 is
@@ -85,12 +110,14 @@ def enumerate_equal_partitions(
     n = len(instance)
     k = _check_enumerable(n, card1)
     si = normalize_and_sort(instance)
+    nums, den = _numerators(si.sorted_values)
     pinned = (0,) if 2 * k == n else ()
     for rest in combinations(range(len(pinned), n), k - len(pinned)):
         in_set1 = [False] * n
         for i in pinned + rest:
             in_set1[i] = True
-        yield PartitionState.from_membership(si.sorted_values, in_set1, si.mode)
+        d = _in_units(_diff(nums, in_set1), den, si.mode)
+        yield PartitionState(si.sorted_values, in_set1, d, si.mode)
 
 
 def exact_min_diff(instance: Instance):
@@ -100,12 +127,7 @@ def exact_min_diff(instance: Instance):
 
 def local_optima_set(instance: Instance) -> tuple:
     """Sorted objective values of all pair-swap locally optimal bipartitions."""
-    vals = {
-        abs(s.d)
-        for s in enumerate_equal_partitions(instance)
-        if pairswap_witness(s) is None
-    }
-    return tuple(sorted(vals))
+    return oracle_result(instance).local_optima
 
 
 def oracle_result(instance: Instance, card1: Optional[int] = None) -> OracleResult:
@@ -121,30 +143,25 @@ def oracle_result(instance: Instance, card1: Optional[int] = None) -> OracleResu
             best = obj
         if pairswap_witness(s) is None:
             optima.add(obj)
-    return OracleResult(
-        exact_min=best,
-        local_optima=tuple(sorted(optima)),
-        num_partitions_enumerated=count,
-    )
+    return OracleResult(exact_min=best, local_optima=tuple(sorted(optima)),
+                        num_partitions_enumerated=count)
 
 
 def exact_min_diff_unconstrained(instance: Instance):
     """Brute-force optimum of the free-cardinality partition problem.
 
     Scans all 2^(N-1) unordered bipartitions (element 0 pinned to side 1);
-    sides may be empty.  Each is scored from its two exactly summed sides,
-    as the solver scores its answer, so no float answer falls below it.
+    sides may be empty.  Each is scored exactly and the minimum rounded once,
+    as the solver rounds its answer, so no float answer falls below it.
     """
     n = len(instance)
     if n < 1:
         raise InvalidCardinalityError("need at least one element")
     if n > ENUMERATION_CAP:
         raise OracleCapError(f"N={n} exceeds the enumeration cap of {ENUMERATION_CAP}")
-    values, mode = instance.values, instance.mode
-    return min(
-        abs(_side_diff(values, (True, *rest), mode))
-        for rest in product((True, False), repeat=n - 1)
-    )
+    nums, den = _numerators(instance.values)
+    best = min(abs(_diff(nums, (True, *rest))) for rest in product((True, False), repeat=n - 1))
+    return _in_units(best, den, instance.mode)
 
 
 def reference_local_search(
@@ -153,43 +170,36 @@ def reference_local_search(
     """Naive cross-check solver: apply the globally best improving swap over
     all cross-side pairs until none is left.
 
-    Locally optimal by construction.  Shares only the initialization with
-    the production solver; the search itself is the obvious quadratic scan.
-    May reach a different local optimum than the production solver.  d
-    becomes the very value the swap was chosen on, so |d| strictly falls and
-    the search ends in float mode too.
+    Locally optimal by construction.  Shares only the initial membership
+    with the production solver; the search itself is the obvious quadratic
+    scan, on exact numerators, so |d| strictly falls and the search ends.
+    May reach a different local optimum than the production solver.
     """
     t0 = time.perf_counter_ns()
     si = normalize_and_sort(instance)
-    state = init_partition(si, cfg)
+    in_set1 = init_partition(si, cfg).in_set1
+    nums, den = _numerators(si.sorted_values)
+    d = _diff(nums, in_set1)
     metrics = Metrics()
     while True:
-        best_pair = None
-        best_d = state.d
-        for a in state.set1_indices():
-            for b in state.set2_indices():
+        best_pair, best_d = None, d
+        for a, b in product(range(len(si)), repeat=2):
+            if in_set1[a] and not in_set1[b]:
                 metrics.candidate_evaluations += 1
-                new_d = state.d - 2 * state.values[a] + 2 * state.values[b]
+                new_d = d - 2 * nums[a] + 2 * nums[b]
                 if abs(new_d) < abs(best_d):
                     best_pair, best_d = (a, b), new_d
         if best_pair is None:
             break
-        a, b = best_pair
-        state.d = best_d
-        state.in_set1[a] = False
-        state.in_set1[b] = True
+        (a, b), d = best_pair, best_d
+        in_set1[a], in_set1[b] = False, True
         metrics.swaps += 1
+    state = PartitionState(si.sorted_values, in_set1, _in_units(d, den, si.mode), si.mode)
     set1 = tuple(sorted(si.perm[i] for i in state.set1_indices()))
     set2 = tuple(sorted(si.perm[i] for i in state.set2_indices()))
     metrics.wall_time_ns = time.perf_counter_ns() - t0
-    return SolveReport(
-        partition=state,
-        objective=abs(state.d),
-        metrics=metrics,
-        original_set1=set1,
-        original_set2=set2,
-        sorted_instance=si,
-    )
+    return SolveReport(partition=state, objective=abs(state.d), metrics=metrics,
+                       original_set1=set1, original_set2=set2, sorted_instance=si)
 
 
 def binomial_half(n: int) -> int:

@@ -19,7 +19,7 @@ from .core import (
     SolveReport,
     SolverConfig,
     SUM_GUARD,
-    _sum_values,
+    scaled_ints,
     solve,
 )
 
@@ -45,8 +45,7 @@ def to_equal_cardinality(instance: Instance) -> Instance:
     n = len(instance)
     if n < 1:
         raise InvalidCardinalityError("need at least one element")
-    zero = 0 if instance.mode is Mode.EXACT_INT else 0.0
-    return Instance(instance.values + (zero,) * n, instance.mode)
+    return Instance(instance.values + (0,) * n, instance.mode)  # float mode makes 0.0
 
 
 def solve_traditional(
@@ -76,12 +75,14 @@ def is_locally_optimal_transfer(result: TraditionalResult) -> bool:
     shrinks |d|.
 
     Moving x out of side 1 sends d to d - 2x; out of side 2, to d + 2x.
+    Float input is decided exactly, on core.scaled_ints.
     """
     vals = result.instance.values
-    mode = result.instance.mode
+    if result.instance.mode is Mode.FLOAT64:
+        vals = scaled_ints(vals)[0]
     side1 = [vals[i] for i in result.part1]
     side2 = [vals[i] for i in result.part2]
-    d = _sum_values(side1, mode) - _sum_values(side2, mode)
+    d = sum(side1) - sum(side2)
     bound = abs(d)
     return all(abs(d - 2 * x) >= bound for x in side1) and all(
         abs(d + 2 * x) >= bound for x in side2

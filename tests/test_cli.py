@@ -475,3 +475,49 @@ def test_float_mode_flag(capsys, monkeypatch):
     payload = json.loads(out)
     assert payload["objective"] == pytest.approx(4.0)
     assert isinstance(payload["set1"][0], float)
+
+
+# Float inputs that tripped the nontermination guard (exit 3) or printed
+# "verified: FAIL" when float mode kept a rounded d and re-derived it with
+# fsum each sweep; the descent now runs on exact ints for floats too.
+GUARD_REPRO = "0.9 0.3 7 0.3 7 7 0.6 0.9 21 0.2 0.6 0.1"
+VERIFY_REPRO = (
+    "0.6000000000000001 0.1 1e-09 1e-09 0.8999999999999999 3.0000000000000004e-09 0.2 0.1 "
+    "1e-09 1e-09 0.3 0.1 0.2 21.0 0.2 0.6000000000000001 3.0000000000000004e-09 "
+    "0.30000000000000004 0.2 0.3 1e-09 7.0 0.8999999999999999 7.0 0.8999999999999999 0.2 "
+    "0.2 0.2 1e-09 0.30000000000000004 3.0000000000000004e-09 0.1 1e-09 0.1 "
+    "0.6000000000000001 0.1 3.0000000000000004e-09 0.2"
+)
+
+
+@pytest.mark.parametrize(
+    "argv, stdin_text",
+    [(["solve", "--verify", "--stats"], GUARD_REPRO),
+     (["solve-traditional", "--verify", "--stats"], "0.1 0.2 0.2"),
+     (["solve", "--verify", "--stats"], VERIFY_REPRO),
+     (["solve", "--verify", "--oracle", "--cardinality", "2", "--stats"],
+      "0.3 21.0 0.9 0.1 0.3 0.3 21.0 7.0 0.3")],
+)
+def test_float_repros_verify_within_n_plus_2_sweeps(capsys, monkeypatch, argv, stdin_text):
+    code, out, err = run_cli(capsys, argv, stdin_text, monkeypatch)
+    assert (code, err) == (0, "")
+    assert "verified: PASS\n" in out
+    if "--oracle" in argv:
+        assert "(globally optimal)" in out
+    n = len(stdin_text.split()) * (2 if argv[0] == "solve-traditional" else 1)
+    assert int(re.search(r"traverses=(\d+)", out).group(1)) <= n + 2
+
+
+@pytest.mark.parametrize("init", ["alternating", "greedy"])
+def test_two_decimal_prices_terminate(capsys, monkeypatch, init):
+    # 2048 two-decimal prices: d alternated between two values one cent
+    # apart until the 2N+4 float guard tripped after 4100 sweeps
+    rng = random.Random(3)
+    for _ in range(1 << 17):
+        rng.random()
+    prices = " ".join(repr(round(rng.uniform(0, 1000), 2)) for _ in range(2048))
+    code, out, _ = run_cli(capsys, ["solve", "--seed", "1", "--init", init, "--format", "json",
+                                    "--verify"], prices, monkeypatch)
+    payload = json.loads(out)
+    assert code == 0 and payload["verified"] is True
+    assert payload["metrics"]["traverses"] <= 2048 + 2

@@ -9,6 +9,7 @@ import math
 import operator
 import random
 from concurrent.futures import ThreadPoolExecutor
+from fractions import Fraction
 from unittest import mock
 
 import pytest
@@ -37,7 +38,7 @@ from eqpart.core import (
     traverse_guard,
 )
 from eqpart.oracle import exact_min_diff, local_optima_set, pairswap_witness
-from eqpart.reductions import TraditionalResult, is_locally_optimal_transfer
+from eqpart.reductions import TraditionalResult, is_locally_optimal_transfer, solve_traditional
 from conftest import make_state
 
 ALL_STRATEGIES = [
@@ -133,7 +134,7 @@ def test_sum_overflow_guard():
 
 
 def test_float_range_guard():
-    # 4 * sum(|x|) must stay finite: it bounds every sum and post-swap d
+    # 4 * sum(|x|) must stay finite: it keeps every d in input units finite
     top = 1.7976931348623157e308 / 4
     normalize_and_sort(Instance((top / 2, -top / 2), Mode.FLOAT64))
     with pytest.raises(OverflowGuardError, match="too large for float mode"):
@@ -265,14 +266,12 @@ def checked_scans():
     below it, each scored with _reference_pair_diff: a swap's partner must
     attain the minimum |d'|, which must beat |d|, and its d_after must be
     that partner's d'; a cursor that did not swap must have no partner that
-    beats |d|.  Exact for int states, which is what the tests use.
+    beats |d|.  Exact: the sweep's states hold ints, float input included.
     """
     sweep = core.run_traverse
 
     def checked(state, cfg, metrics, trace=None):
         replay = _copy_state(state)
-        if replay.mode is Mode.FLOAT64:
-            recompute_sums(replay)  # as the sweep does at its start
         events = []
         outcome = sweep(state, cfg, metrics, events)
         swaps = {e.cursor: e for e in events}
@@ -476,16 +475,19 @@ def test_sweep_swap_to_zero_ends_the_sweep():
 
 
 def test_sweep_float_swap_flipping_the_sign_ends_the_sweep():
-    # float d = fsum(0.0, 0.7, 0.9) - fsum(0.1, 0.2, 0.5); cursor 4 (0.7)
-    # scores indices 1, 2, 3 and stops at 3, where d' regains d's sign.
-    # The best, index 2, flips the sign; its d' is the new d as computed,
-    # d - 2*0.7 + 2*0.2 left to right
-    d = math.fsum([0.0, 0.7, 0.9]) - math.fsum([0.1, 0.2, 0.5])
-    outcome, events, metrics, state = _sweep([0.0, 0.1, 0.2, 0.5, 0.7, 0.9], {0, 4, 5},
-                                             Mode.FLOAT64)
+    # float input reaches the sweep as ints at one power-of-two scale, so d
+    # and every d' are exact.  d = 0.7 + 0.9 - 0.1 - 0.2 - 0.5 > 0; cursor 4
+    # (0.7) scores indices 1, 2, 3 and stops at 3, where d' regains d's
+    # sign.  The best, index 2, flips the sign: d' = d - 2*0.7 + 2*0.2
+    values = (0.0, 0.1, 0.2, 0.5, 0.7, 0.9)
+    start = init_partition(normalize_and_sort(Instance(values, Mode.FLOAT64)), SolverConfig())
+    ints, scale = start.values, start.scale
+    assert [Fraction(x) * scale for x in values] == list(ints)
+    outcome, events, metrics, state = _sweep(ints, {0, 4, 5})
+    d = ints[0] + ints[4] + ints[5] - ints[1] - ints[2] - ints[3]
     assert outcome is TraverseOutcome.SIGN_FLIPPED
-    assert events == [(4, 2, d, d - 2 * 0.7 + 2 * 0.2, TraverseOutcome.SIGN_FLIPPED)]
-    assert state.d == d - 2 * 0.7 + 2 * 0.2 == pytest.approx(-0.2)
+    assert events == [(4, 2, d, d - 2 * ints[4] + 2 * ints[2], TraverseOutcome.SIGN_FLIPPED)]
+    assert state.d == d - 2 * ints[4] + 2 * ints[2] and state.d / scale == pytest.approx(-0.2)
     assert metrics.candidate_evaluations == 6  # 3 skips + 0 + 3
     assert (metrics.swaps, metrics.sign_changes) == (1, 1)
 
@@ -581,8 +583,6 @@ def reference_sweep(state, cfg, metrics, trace=None):
     """run_traverse as it was when every cursor went through the scan and
     the swap recomputed d', kept as the reference."""
     metrics.traverses += 1
-    if state.mode is Mode.FLOAT64:
-        recompute_sums(state)
     evals_before = metrics.candidate_evaluations
     outcome = TraverseOutcome.COMPLETED
     floor = -1
@@ -667,6 +667,58 @@ def test_sweep_matches_reference(values, cfg, pinned, data):
         with mock.patch.object(core, "run_traverse", reference_sweep):
             expected = _solve_outcome(values, cfg, card1)
         assert _solve_outcome(values, cfg, card1) == expected
+
+
+def _exact_objective(values, set1, set2):
+    """|S1 - S2| of input-index sides, exact, then correctly rounded."""
+    exact = sum(map(Fraction, map(values.__getitem__, set1))) - sum(
+        map(Fraction, map(values.__getitem__, set2)))
+    return float(abs(exact))
+
+
+@given(
+    st.lists(_decimal_floats, min_size=2, max_size=40),
+    st.sampled_from(ALL_STRATEGIES),
+    st.sampled_from(["equal", "pinned", "traditional"]),
+    st.data(),
+)
+@settings(max_examples=300, deadline=None)
+def test_float_input_gets_the_integer_guarantees(values, cfg, kind, data):
+    # float input runs the exact integer descent: no guard trip, at most N+2
+    # sweeps, a tolerance-0 certificate, and the objective is the correctly
+    # rounded exact difference of the reported sides
+    inst = Instance(tuple(values), Mode.FLOAT64)
+    if kind == "traditional":
+        result = solve_traditional(inst, cfg)
+        report, set1, set2 = result.extended_report, result.part1, result.part2
+        assert is_locally_optimal_transfer(result)
+    else:
+        card1 = data.draw(st.integers(1, len(values) - 1)) if kind == "pinned" else None
+        if card1 is None and len(values) % 2:
+            inst = Instance(inst.values[:-1], Mode.FLOAT64)
+        report = solve(inst, cfg, card1)
+        set1, set2 = report.original_set1, report.original_set2
+    assert report.metrics.traverses <= len(report.partition.values) + 2
+    assert is_locally_optimal_pairswap(report.partition)
+    assert report.objective == _exact_objective(inst.values, set1, set2)
+    assert report.maintained_drift == 0.0
+    recompute_sums(report.partition)  # the input-unit state's d is the exact one, rounded
+
+
+@pytest.mark.parametrize("values", [
+    (5e-324, 1.0, 2.0, 3.0),  # a subnormal: 2^k leaves the float range
+    (1e300, 1e-300),  # max|x| * 2^k leaves the float range
+    (-0.0, 0.5, -0.0, 2.0),
+    (0.0, 0.0, -0.0, 0.0),
+    (0.25, -0.5, 3.0, 2.0**60),
+])
+def test_scaled_ints_are_exact_at_the_edges(values):
+    ints, scale = core.scaled_ints(values)
+    assert scale & (scale - 1) == 0 and all(type(i) is int for i in ints)
+    assert [Fraction(x) * scale for x in values] == list(ints)
+    r = solve(Instance(values, Mode.FLOAT64))
+    assert is_locally_optimal_pairswap(r.partition)
+    assert r.objective == _exact_objective(values, r.original_set1, r.original_set2)
 
 
 # ---------------------------------------------------------------------- solve
@@ -759,11 +811,8 @@ def _pairswap_states():
         tolerance = draw(st.sampled_from([0.0, 1e-12, 1e-3, 0.25]))
         set1 = set(draw(st.permutations(range(n)))[:k])
         if draw(st.booleans()):
-            try:
-                r = solve(Instance(tuple(values), mode), SolverConfig(), card1=k)
-                set1 = set(r.partition.set1_indices())
-            except InternalConsistencyError:
-                pass  # a float guard trip leaves the random membership
+            r = solve(Instance(tuple(values), mode), SolverConfig(), card1=k)
+            set1 = set(r.partition.set1_indices())
         order = draw(st.permutations(range(n))) if draw(st.booleans()) else range(n)
         state = PartitionState.from_membership(
             tuple(values[i] for i in order), [i in set1 for i in order], mode
@@ -829,21 +878,6 @@ def test_recompute_detects_corruption():
     state.d += 2
     with pytest.raises(InternalConsistencyError):
         recompute_sums(state)
-
-
-def test_float_drift_stays_bounded_over_many_swaps():
-    # random swaps, not sweeps: the incremental update alone, over many steps
-    rng = random.Random(99)
-    n = 100
-    values = sorted(rng.random() for _ in range(n))
-    state = make_state(values, set(range(0, n, 2)), mode=Mode.FLOAT64)
-    for _ in range(10_000):
-        a = rng.choice(state.set1_indices())
-        b = rng.choice(state.set2_indices())
-        _reference_apply_swap(state, a, b)
-    maintained = state.d
-    recompute_sums(state)
-    assert abs(maintained - state.d) <= 1e-9 * math.fsum(map(abs, values))
 
 
 # ------------------------------------------------------------------ properties
@@ -947,7 +981,7 @@ def test_parallel_solves_match_serial():
 
 def test_traverse_guard_values():
     assert traverse_guard(10, Mode.EXACT_INT) == 12
-    assert traverse_guard(10, Mode.FLOAT64) == 24
+    assert traverse_guard(10, Mode.FLOAT64) == 12  # one descent for both modes
     assert traverse_guard(10, Mode.EXACT_INT, factor=3) == 36
     # the factor is a constant, not an option
     assert SolverConfig().traverse_guard_factor == SolverConfig.traverse_guard_factor == 1

@@ -120,16 +120,17 @@ def test_reference_search_reaches_a_local_optimum(values):
 
 
 def test_reference_search_terminates_on_floats():
-    # -6.4 - 1.2 + 14.0 rounds to 6.3999999999999995 < 6.4, so the pair is
-    # swapped; re-deriving d as s1 - s2 then undid it forever.  A child
-    # interpreter turns such a hang into a failure.
+    # in floats, -6.4 - 1.2 + 14.0 rounds to 6.3999999999999995 < 6.4, so
+    # the pair was swapped, and re-deriving d as s1 - s2 undid it forever.
+    # Exactly, the swap only negates d, so there is none.  A child
+    # interpreter turns a hang into a failure.
     code = ("from eqpart.core import Instance; from eqpart.oracle import reference_local_search; "
             "r = reference_local_search(Instance.from_values([0.6, 7.0])); "
             "print(r.objective, r.metrics.swaps)")
     env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parent.parent / "src"))
     proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                           text=True, check=True, timeout=60)
-    assert proc.stdout.split() == ["6.3999999999999995", "1"]
+    assert proc.stdout.split() == ["6.4", "0"]
 
 
 @given(
