@@ -7,14 +7,8 @@ itself; run_one checks the 2N work-per-sweep bound.  A breach of either, or
 any other internal error of a solve, aborts with the offending family, size
 and seed so the run can be replayed.
 
-The 2N per-sweep bound holds for every init, split and random included: the
-sweep keeps a floor (the highest larger-side index below the cursor) that
-only moves up, each cursor scans its partners upward from the floor and
-stops at the first one whose post-swap difference is zero or keeps d's
-sign, and ties below the floor are reached by one per-sweep pointer that
-only moves up.  So a skipped cursor costs 1 (counted in bulk), a cursor
-with an empty window 0, a scanning cursor about one evaluation per index
-the floor passes plus one, and a sweep about N + N (see core.run_traverse).
+The 2N per-sweep bound holds for every init, split and random included;
+core.run_traverse's docstring gives the argument.
 """
 
 from __future__ import annotations
@@ -36,7 +30,10 @@ from .core import (
     solve,
 )
 
-FAMILIES = ("uniform_int", "uniform_float", "near_equal", "geometric")
+# family -> default (p1, p2): a range, a spread around a base, and a ratio
+# near 1, so a geometric run has distinct terms, finite to N of about 7e5
+FAMILIES = {"uniform_int": (1, 10**6), "uniform_float": (1, 10**6),
+            "near_equal": (10**6, 100), "geometric": (1.001, 10**6)}
 
 CSV_HEADER = (
     "n",
@@ -59,7 +56,8 @@ class GeneratorSpec:
     """Deterministic instance recipe: same spec and seed give the same values.
 
     p1/p2 are the family parameters: (lo, hi) for the uniform families,
-    (base, epsilon) for near_equal, (ratio, scale) for geometric.
+    (base, epsilon) for near_equal, (ratio, scale) for geometric; FAMILIES
+    holds each family's defaults.
     """
 
     family: str
@@ -70,7 +68,7 @@ class GeneratorSpec:
 
     def __post_init__(self):
         if self.family not in FAMILIES:
-            raise ValueError(f"unknown family {self.family!r}; expected one of {FAMILIES}")
+            raise ValueError(f"unknown family {self.family!r}; expected one of {tuple(FAMILIES)}")
         if self.n < 2:
             raise ValueError("n must be at least 2")
         for name in ("p1", "p2"):
@@ -248,7 +246,7 @@ def export_report(report: ScalingReport, fmt: str = "csv") -> bytes:
         for r in report.runs:
             writer.writerow(
                 [r.n, r.family, r.seed, r.traverses, r.swaps,
-                 r.candidate_evals, r.wall_time_ns, repr(r.objective) if isinstance(r.objective, float) else r.objective]
+                 r.candidate_evals, r.wall_time_ns, r.objective]
             )
         return buf.getvalue().encode()
     if fmt == "json":

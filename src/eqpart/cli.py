@@ -216,8 +216,8 @@ def _cmd_bench(args) -> int:
     sizes = [int(s) for s in args.sizes.split(",") if s]
     family = args.family.replace("-", "_")
     # argparse delivers p1/p2 as floats; integral ones mean integer families
-    p1 = int(args.p1) if float(args.p1).is_integer() else args.p1
-    p2 = int(args.p2) if float(args.p2).is_integer() else args.p2
+    p1, p2 = (default if p is None else int(p) if p.is_integer() else p
+              for p, default in zip((args.p1, args.p2), bench_mod.FAMILIES[family]))
     specs = [
         GeneratorSpec(family=family, n=n, seed=args.seed, p1=p1, p2=p2)
         for n in sizes
@@ -289,10 +289,10 @@ def build_parser() -> argparse.ArgumentParser:
                          help="comma-separated instance sizes")
     p_bench.add_argument("--reps", type=int, default=5, help="seeds per size")
     p_bench.add_argument("--seed", type=int, default=1, help="base seed")
-    p_bench.add_argument("--p1", type=float, default=1,
-                         help="family parameter: lo / base / ratio")
-    p_bench.add_argument("--p2", type=float, default=10**6,
-                         help="family parameter: hi / epsilon / scale")
+    p_bench.add_argument("--p1", type=float, default=None,
+                         help="family parameter: lo / base / ratio (default per family)")
+    p_bench.add_argument("--p2", type=float, default=None,
+                         help="family parameter: hi / epsilon / scale (default per family)")
     p_bench.add_argument("--init", choices=[s.value for s in InitStrategy],
                          default=InitStrategy.ALTERNATING.value)
     p_bench.add_argument("--format", choices=["csv", "json"], default="csv")

@@ -241,10 +241,11 @@ class SolveReport:
 def scaled_ints(values) -> tuple:
     """(ints, scale) with values[i] * scale == ints[i] exactly, for floats.
 
-    Every finite float is an integer times a power of two.  scale = 2^k, k
-    the least k >= 0 that makes the smallest nonzero |x|, and so every |x|,
-    an integer.  Where 2^k or some |x| * 2^k passes the float range
-    (subnormals, very wide ranges), float.as_integer_ratio scales instead.
+    A finite x is a multiple of 2^(e - 53), e = frexp(x)[1].  scale = 2^k
+    with k = max(53 - e, 0) for the smallest nonzero |x|; no larger |x| has
+    a finer ulp, so every x * 2^k is an integer.  k is not always the least
+    that works ((1.0, 3.0) gets 2^52).  Where 2^k or some |x| * 2^k passes
+    the float range (subnormals, very wide ranges), as_integer_ratio scales.
     """
     smallest = min(filter(None, map(abs, values)), default=1.0)
     k = max(53 - math.frexp(smallest)[1], 0)
@@ -288,9 +289,7 @@ def _initial_membership(xs: tuple, cfg: SolverConfig, card1: int) -> list:
     if cfg.init_strategy is InitStrategy.ALTERNATING:
         # Bresenham spread of card1 slots over n indices; reduces to
         # "odd sorted positions" (1-based) when card1 == n // 2.
-        for i in range(n):
-            if (i * card1) % n < card1:
-                in_set1[i] = True
+        in_set1 = [(i * card1) % n < card1 for i in range(n)]
     elif cfg.init_strategy is InitStrategy.SPLIT_HALF:
         in_set1 = [True] * card1 + [False] * (n - card1)
     elif cfg.init_strategy is InitStrategy.RANDOM:
@@ -379,7 +378,7 @@ def run_traverse(
     proves nothing about them (swapping equal values never changes d).  So
     the window is the opposing run (floor, n-1] plus the tie group, the
     opposing elements below floor whose value equals values[floor].  All
-    tie-group members share one d', so only the lowest opposing member is
+    tie-group members score alike, so only the lowest opposing member is
     evaluated; the sweep's one pointer `tie` walks up to it at one candidate
     evaluation per step.  The floor only moves up, so its value group only
     changes to a higher one, never back: the first time the floor has a tie
@@ -388,37 +387,38 @@ def run_traverse(
     the larger side within a sweep, so within a group the pointer only
     moves up.
 
-    The window is scanned upward.  Each d' is d - 2*x_a + 2*x_b, x_a the
-    side-1 value, with the cursor's term hoisted; the chosen d' becomes the
-    new d.  On ints d' is exact and monotone in the partner's value, so |d'|
-    is V-shaped over the window: the scan stops after the first partner
-    whose d' is zero or has d's sign, and keeps the first strict minimum,
-    i.e. the smallest partner index on ties.
+    The sweep keeps e = |d|, the larger side's excess, and scores every
+    swap of cursor value x_n and partner value x_j by one formula, e' =
+    e - 2*x_n + 2*x_j (d' for d > 0, -d' for d < 0), c = e - 2*x_n hoisted.
+    e' is exact and monotone in x_j, so |e'| is V-shaped over the window:
+    the scan stops at the first e' >= 0 and keeps the first strict minimum
+    (lowest index on ties).  A chosen e' of 0 reaches zero, a negative one
+    flips the sign.  Signed d is formed only for SwapEvents and state.d.
 
     Per sweep this costs at most about 2N candidate evaluations: each
     skipped cursor costs 1; a scanning cursor that neither flips nor zeroes
-    d swaps with the last partner it scanned (everything before it has the
-    opposite sign), so it costs one evaluation per index the floor passes,
+    d swaps with the last partner it scanned (every e' before it is
+    negative), so it costs one evaluation per index the floor passes,
     plus one; a cursor that does not swap moves the floor up to itself; and
     the tie pointer only moves up within a group and never returns to one.
 
-    Only cursors that can swap pay for a visit.  The sweep jumps from one
-    larger-side cursor to the next with list.index and counts the skipped
-    cursors in between, and those above the last larger-side cursor of a
-    completed sweep, in bulk (all N at once when d == 0).  A larger-side
-    cursor right above the floor (floor == n-1) with no tie group below the
-    floor has an empty window: it becomes the floor at 0 evaluations, before
-    any scan set-up.  Each cursor counts what a visit would count, so the 2N
-    argument is unchanged.  The sweep reads nothing from cfg.
+    Only cursors that can swap pay for a visit: the sweep jumps between
+    larger-side cursors with list.index and counts the skipped ones in bulk
+    (all N at once when d == 0).  A larger-side cursor right above the
+    floor with no tie group below it has an empty window and becomes the
+    floor at 0 evaluations, before any scan set-up.  Each cursor counts
+    what a visit would count, so the 2N argument is unchanged.  The sweep
+    reads nothing from cfg.
     """
     metrics.traverses += 1
     values, in_set1, d = state.values, state.in_set1, state.d
     outcome = _COMPLETED
-    abs_d = abs(d)
+    larger = d > 0 if d else None  # None matches no cursor: the tail count takes all N
+    sign = 1 if larger else -1
+    e = sign * d
     evals = swaps = 0
     floor = n = -1  # n: the last larger-side cursor visited
     tie_value = tie = None
-    larger = d > 0 if d else None  # None matches no cursor: the tail count takes all N
     find = in_set1.index
     while True:
         after = n + 1
@@ -427,11 +427,12 @@ def run_traverse(
         except ValueError:
             break
         evals += n - after  # the smaller-side cursors jumped over
-        if floor == n - 1 and not (floor > 0 and values[floor - 1] == values[floor]):
+        tied = floor > 0 and values[floor - 1] == values[floor]
+        if floor == n - 1 and not tied:
             floor = n  # empty window: no run above the floor, no tie group below it
             continue
         window = range(floor + 1, n)
-        if floor > 0 and values[floor - 1] == values[floor]:
+        if tied:
             if values[floor] != tie_value:
                 tie_value = values[floor]
                 tie = bisect.bisect_left(values, tie_value, 0, floor)
@@ -440,15 +441,14 @@ def run_traverse(
                 evals += 1
             if tie < floor:
                 window = itertools.chain((tie,), window)
-        x2 = 2 * values[n]
-        c = d - x2
-        partner, best = None, abs_d
+        c = e - 2 * values[n]
+        partner, best = None, e
         for j in window:
             evals += 1
-            new_d = c + 2 * values[j] if larger else d - 2 * values[j] + x2
-            if abs(new_d) < best:
-                partner, best, best_d = j, abs(new_d), new_d
-            if new_d == 0 or (new_d > 0) == larger:
+            new_e = c + 2 * values[j]
+            if abs(new_e) < best:
+                partner, best, best_e = j, abs(new_e), new_e
+            if new_e >= 0:
                 break
         if partner is None:
             floor = n
@@ -457,19 +457,19 @@ def run_traverse(
             floor = partner
         in_set1[n], in_set1[partner] = not larger, larger
         swaps += 1
-        if best_d == 0:
+        if best_e == 0:
             outcome = _ZERO_REACHED
-        elif (best_d > 0) != larger:
+        elif best_e < 0:
             outcome = _SIGN_FLIPPED
             metrics.sign_changes += 1
         if trace is not None:
-            trace.append(SwapEvent(n, partner, d, best_d, outcome))
-        d, abs_d = best_d, best
+            trace.append(SwapEvent(n, partner, sign * e, sign * best_e, outcome))
+        e = best_e
         if outcome is not _COMPLETED:
             break
     if outcome is _COMPLETED:
         evals += len(in_set1) - n - 1  # the smaller-side cursors above the last
-    state.d = d
+    state.d = sign * e
     metrics.swaps += swaps
     metrics.candidate_evaluations += evals
     if evals > metrics.max_traverse_evaluations:

@@ -415,6 +415,17 @@ def test_bench_json_output(capsys):
     assert len(payload["runs"]) == 4
 
 
+def test_bench_default_geometric_run_makes_swaps(capsys):
+    # the family's default ratio, 1.001, gives distinct terms; a ratio of 1
+    # would give N copies of 10^6: one sweep, 0 swaps, objective 0
+    code, out, _ = run_cli(
+        capsys, ["bench", "--family", "geometric", "--sizes", "16,32,64,128", "--reps", "1"]
+    )
+    assert code == 0
+    swaps = [int(line.split(",")[4]) for line in out.splitlines()[1:]]
+    assert len(swaps) == 4 and min(swaps) > 0
+
+
 def test_bench_split_init_aborts_exit_3(capsys, work_bound_breach):
     code, _, err = run_cli(
         capsys,

@@ -538,6 +538,42 @@ def test_run_traverse_counts_skipped_cursors():
     assert metrics.swaps > 0 and metrics.candidate_evaluations > len(si) // 2
 
 
+@st.composite
+def _sweep_starts(draw):
+    """Sorted ints, tie-heavy alphabets included, and any membership."""
+    values = sorted(draw(st.one_of(
+        st.lists(st.integers(-50, 50), min_size=1, max_size=40),
+        st.lists(st.integers(0, 3), min_size=1, max_size=40),
+        st.lists(st.integers(0, 1), min_size=1, max_size=40),
+    )))
+    return values, draw(st.lists(st.booleans(), min_size=len(values), max_size=len(values)))
+
+
+@given(_sweep_starts())
+@example(([1, 2, 3, 4], [True, False, False, True]))  # d == 0
+@example(([1, 1, 1, 1, 1, 2, 2, 5], [True] * 4 + [False] * 4))  # d < 0, ties below the floor
+@settings(max_examples=400, deadline=None)
+def test_sweeps_are_symmetric_under_swapping_the_side_labels(start):
+    # flipping every membership bit negates d and nothing else: the sweeps
+    # must make the same moves with the same outcomes and counters, with
+    # every d negated; this checks d < 0 against d > 0, flip by flip
+    values, in_set1 = start
+    runs = []
+    for membership in (in_set1, [not b for b in in_set1]):
+        state = PartitionState.from_membership(tuple(values), list(membership), Mode.EXACT_INT)
+        metrics, trace, outcomes = Metrics(), [], [TraverseOutcome.SIGN_FLIPPED]
+        while outcomes[-1] is TraverseOutcome.SIGN_FLIPPED and len(outcomes) <= len(values) + 2:
+            outcomes.append(run_traverse(state, SolverConfig(), metrics, trace))
+        runs.append((outcomes, trace, metrics, state))
+    (outcomes, trace, metrics, state), (f_outcomes, f_trace, f_metrics, f_state) = runs
+    assert f_outcomes == outcomes and f_metrics == metrics
+    assert [(e.cursor, e.partner, e.outcome) for e in f_trace] == [
+        (e.cursor, e.partner, e.outcome) for e in trace]
+    assert [(-e.d_before, -e.d_after) for e in f_trace] == [
+        (e.d_before, e.d_after) for e in trace]
+    assert f_state.d == -state.d and f_state.in_set1 == [not b for b in state.in_set1]
+
+
 def _reference_find_best_swap(state, n, floor, ties, metrics):
     """The partner scan as a function of its own, when it also took the
     skipped cursors and scored every partner with _reference_pair_diff,
