@@ -18,7 +18,7 @@ import io
 import json
 import math
 import statistics
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, astuple, dataclass, fields, replace
 from typing import Iterable, Optional, Sequence
 
 from .core import (
@@ -26,6 +26,7 @@ from .core import (
     InternalConsistencyError,
     Mode,
     PartitionError,
+    SUM_GUARD,
     SolverConfig,
     solve,
 )
@@ -34,17 +35,6 @@ from .core import (
 # near 1, so a geometric run has distinct terms, finite to N of about 7e5
 FAMILIES = {"uniform_int": (1, 10**6), "uniform_float": (1, 10**6),
             "near_equal": (10**6, 100), "geometric": (1.001, 10**6)}
-
-CSV_HEADER = (
-    "n",
-    "family",
-    "seed",
-    "traverses",
-    "swaps",
-    "candidate_evals",
-    "wall_time_ns",
-    "objective",
-)
 
 
 class BenchInvariantError(PartitionError):
@@ -120,7 +110,7 @@ def generate(spec: GeneratorSpec) -> Instance:
     # geometric progression scale * ratio^k; floats unless integral and small
     ratio, scale = spec.p1, spec.p2
     vals = [scale * ratio**k for k in range(spec.n)]
-    if all(isinstance(v, int) for v in vals) and sum(abs(v) for v in vals) < (1 << 62):
+    if all(isinstance(v, int) for v in vals) and sum(abs(v) for v in vals) < SUM_GUARD:
         return Instance(tuple(vals), Mode.EXACT_INT)
     return Instance(tuple(float(v) for v in vals), Mode.FLOAT64)
 
@@ -135,6 +125,12 @@ class RunRecord:
     candidate_evals: int
     wall_time_ns: int
     objective: float | int
+
+
+CSV_HEADER = tuple(f.name for f in fields(RunRecord))
+
+# the RunRecord counters that ScalingRow reduces to per-size medians
+_COUNTERS = ("candidate_evals", "traverses", "swaps", "wall_time_ns")
 
 
 @dataclass(frozen=True)
@@ -170,17 +166,11 @@ def _reduce(runs: Sequence[RunRecord]) -> tuple:
     by_n: dict = {}
     for r in runs:
         by_n.setdefault(r.n, []).append(r)
-    rows = tuple(
-        ScalingRow(
-            n=n,
-            median_candidate_evals=statistics.median(r.candidate_evals for r in group),
-            median_traverses=statistics.median(r.traverses for r in group),
-            median_swaps=statistics.median(r.swaps for r in group),
-            median_wall_time_ns=statistics.median(r.wall_time_ns for r in group),
-        )
+    return tuple(
+        ScalingRow(n, **{f"median_{c}": statistics.median(getattr(r, c) for r in group)
+                         for c in _COUNTERS})
         for n, group in sorted(by_n.items())
     )
-    return rows
 
 
 def run_one(spec: GeneratorSpec, cfg: SolverConfig) -> RunRecord:
@@ -226,12 +216,8 @@ def run_suite(
     sizes = {s.n for s in specs}
     if len(sizes) < 4:
         raise ValueError(f"slope fitting needs >= 4 distinct sizes, got {sorted(sizes)}")
-    runs = []
-    for spec in specs:
-        for rep in range(repetitions):
-            rep_spec = GeneratorSpec(spec.family, spec.n, spec.seed + rep, spec.p1, spec.p2)
-            runs.append(run_one(rep_spec, cfg))
-    runs = tuple(runs)
+    runs = tuple(run_one(replace(spec, seed=spec.seed + rep), cfg)
+                 for spec in specs for rep in range(repetitions))
     rows = _reduce(runs)
     return ScalingReport(runs=runs, rows=rows, slope=_fit_slope(rows))
 
@@ -243,11 +229,7 @@ def export_report(report: ScalingReport, fmt: str = "csv") -> bytes:
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")
         writer.writerow(CSV_HEADER)
-        for r in report.runs:
-            writer.writerow(
-                [r.n, r.family, r.seed, r.traverses, r.swaps,
-                 r.candidate_evals, r.wall_time_ns, r.objective]
-            )
+        writer.writerows(map(astuple, report.runs))
         return buf.getvalue().encode()
     if fmt == "json":
         payload = {

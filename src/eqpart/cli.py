@@ -8,6 +8,7 @@ failure.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import math
 import re
@@ -21,7 +22,6 @@ from .core import (
     Mode,
     OverflowGuardError,
     PartitionError,
-    SolveReport,
     SolverConfig,
     SUM_GUARD,
     excerpt,
@@ -120,28 +120,43 @@ def _config_from_args(args) -> SolverConfig:
     return SolverConfig(init_strategy=InitStrategy(args.init), seed=args.seed)
 
 
-def _metrics_dict(report: SolveReport) -> dict:
+def _cmd_solve(args) -> int:
+    """solve, verify and solve-traditional: read, solve, check, print; the
+    exit code is 3 when verification failed."""
+    instance = _read_instance(args)
+    cfg = _config_from_args(args)
+    traditional = args.command == "solve-traditional"
+    if traditional:
+        result = solve_traditional(instance, cfg)
+        report, objective, sides = (result.extended_report, result.objective,
+                                    (result.part1, result.part2))
+    else:
+        report = solve(instance, cfg, card1=args.cardinality)
+        objective, sides = report.objective, (report.original_set1, report.original_set2)
+    # solve-traditional's report is the zero-padded solve, where a swap with
+    # a dummy zero is a transfer: one check covers both kinds of move
+    verified = None
+    if args.verify:
+        verified = is_locally_optimal_pairswap(report.partition)
+    exact_min = None
+    if args.oracle:
+        exact_min = (exact_min_diff_unconstrained(instance) if traditional
+                     else oracle_result(instance, card1=args.cardinality).exact_min)
+    set1, set2 = ([instance.values[i] for i in idx] for idx in sides)
     m = report.metrics
-    return {
+    metrics = {
         "traverses": m.traverses,
         "swaps": m.swaps,
         "sign_changes": m.sign_changes,
         "candidate_evaluations": m.candidate_evaluations,
         "wall_time_ns": m.wall_time_ns,
     }
-
-
-def _render_solution(args, instance, objective, idx1, idx2, report,
-                     verified=None, exact_min=None) -> int:
-    """Print the answer; the exit code is 3 when verification failed."""
-    vals1 = [instance.values[i] for i in idx1]
-    vals2 = [instance.values[i] for i in idx2]
     if args.format == "json":
         payload = {
             "objective": objective,
-            "set1": vals1,
-            "set2": vals2,
-            "metrics": _metrics_dict(report),
+            "set1": set1,
+            "set2": set2,
+            "metrics": metrics,
         }
         if verified is not None:
             payload["verified"] = verified
@@ -150,61 +165,22 @@ def _render_solution(args, instance, objective, idx1, idx2, report,
         print(json.dumps(payload))
     else:
         print(f"objective: {objective}")
-        print(f"set1: {' '.join(map(str, vals1))}  (indices {' '.join(map(str, idx1))})")
-        print(f"set2: {' '.join(map(str, vals2))}  (indices {' '.join(map(str, idx2))})")
+        for name, vals, idx in zip(("set1", "set2"), (set1, set2), sides):
+            print(f"{name}: {' '.join(map(str, vals))}  (indices {' '.join(map(str, idx))})")
         if verified is not None:
             print(f"verified: {'PASS' if verified else 'FAIL'}")
         if exact_min is not None:
             status = "globally optimal" if objective == exact_min else "locally optimal only"
             print(f"exact_min: {exact_min} ({status})")
         if args.stats:
-            print("stats: " + " ".join(f"{k}={v}" for k, v in _metrics_dict(report).items()))
+            print("stats: " + " ".join(f"{k}={v}" for k, v in metrics.items()))
     return 3 if verified is False else 0
-
-
-def _cmd_solve(args) -> int:
-    instance = _read_instance(args)
-    report = solve(instance, _config_from_args(args), card1=args.cardinality)
-    verified = None
-    if args.verify or args.command == "verify":
-        verified = is_locally_optimal_pairswap(report.partition)
-    exact_min = None
-    if args.oracle:
-        exact_min = oracle_result(instance, card1=args.cardinality).exact_min
-    return _render_solution(
-        args, instance, report.objective,
-        report.original_set1, report.original_set2, report,
-        verified, exact_min,
-    )
-
-
-def _cmd_solve_traditional(args) -> int:
-    instance = _read_instance(args)
-    result = solve_traditional(instance, _config_from_args(args))
-    verified = None
-    if args.verify:  # a swap with a dummy zero is a transfer: one check covers both
-        verified = is_locally_optimal_pairswap(result.extended_report.partition)
-    exact_min = None
-    if args.oracle:
-        exact_min = exact_min_diff_unconstrained(instance)
-    return _render_solution(
-        args, instance, result.objective, result.part1, result.part2,
-        result.extended_report, verified, exact_min,
-    )
 
 
 def _cmd_oracle(args) -> int:
     res = oracle_result(_read_instance(args))
     if args.format == "json":
-        print(
-            json.dumps(
-                {
-                    "exact_min": res.exact_min,
-                    "local_optima": list(res.local_optima),
-                    "num_partitions_enumerated": res.num_partitions_enumerated,
-                }
-            )
-        )
+        print(json.dumps(dataclasses.asdict(res)))
     else:
         print(f"exact_min: {res.exact_min}")
         print(f"local_optima: {' '.join(str(v) for v in res.local_optima)}")
@@ -271,11 +247,11 @@ def build_parser() -> argparse.ArgumentParser:
     p_trad = sub.add_parser("solve-traditional",
                             help="free-cardinality solve via the dummy-zero reduction")
     _add_common(p_trad)
-    p_trad.set_defaults(func=_cmd_solve_traditional)
+    p_trad.set_defaults(func=_cmd_solve)
 
     p_verify = sub.add_parser("verify", help="solve and verify local optimality")
     _add_common(p_verify, cardinality=True)
-    p_verify.set_defaults(func=_cmd_solve)
+    p_verify.set_defaults(func=_cmd_solve, verify=True)
 
     p_oracle = sub.add_parser("oracle", help="exhaustive enumeration (N <= 24)")
     _add_common(p_oracle)

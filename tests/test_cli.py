@@ -388,6 +388,102 @@ def test_oracle_cap_exit_2(capsys, monkeypatch):
     assert "cap" in err
 
 
+# Exact bytes of every non-bench subcommand in both formats, wall time masked.
+# The int input's answer is a local optimum above the exact one (3 vs 1); the
+# float input is the same instance in tenths.
+EXACT_INT = "15 20 1 26 8 21 6 18"
+EXACT_FLOAT = "1.5 2 0.1 2.6 0.8 2.1 0.6 1.8"
+SOLVE_INT_TEXT = (
+    "objective: 3\n"
+    "set1: 15 20 6 18  (indices 0 1 6 7)\n"
+    "set2: 1 26 8 21  (indices 2 3 4 5)\n"
+    "verified: PASS\n"
+    "exact_min: 1 (locally optimal only)\n"
+    "stats: traverses=2 swaps=3 sign_changes=1 candidate_evaluations=12 wall_time_ns=#\n"
+)
+SOLVE_INT_JSON = (
+    '{"objective": 3, "set1": [15, 20, 6, 18], "set2": [1, 26, 8, 21], "metrics": '
+    '{"traverses": 2, "swaps": 3, "sign_changes": 1, "candidate_evaluations": 12, '
+    '"wall_time_ns": #}, "verified": true, "exact_min": 1}\n'
+)
+SOLVE_FLOAT_TEXT = (
+    "objective: 0.2999999999999998\n"
+    "set1: 1.5 2.0 0.6 1.8  (indices 0 1 6 7)\n"
+    "set2: 0.1 2.6 0.8 2.1  (indices 2 3 4 5)\n"
+    "verified: PASS\n"
+    "exact_min: 0.10000000000000006 (locally optimal only)\n"
+    "stats: traverses=2 swaps=3 sign_changes=1 candidate_evaluations=12 wall_time_ns=#\n"
+)
+SOLVE_FLOAT_JSON = (
+    '{"objective": 0.2999999999999998, "set1": [1.5, 2.0, 0.6, 1.8], '
+    '"set2": [0.1, 2.6, 0.8, 2.1], "metrics": {"traverses": 2, "swaps": 3, '
+    '"sign_changes": 1, "candidate_evaluations": 12, "wall_time_ns": #}, '
+    '"verified": true, "exact_min": 0.10000000000000006}\n'
+)
+ALL_FLAGS = ["--verify", "--oracle", "--stats"]
+EXACT_CASES = (
+    [([cmd, *ALL_FLAGS, *fmt], text, expected)
+     for cmd in ("solve", "verify")
+     for fmt, text, expected in [([], EXACT_INT, SOLVE_INT_TEXT),
+                                 (["--format", "json"], EXACT_INT, SOLVE_INT_JSON),
+                                 ([], EXACT_FLOAT, SOLVE_FLOAT_TEXT),
+                                 (["--format", "json"], EXACT_FLOAT, SOLVE_FLOAT_JSON)]]
+    + [(["solve-traditional", *ALL_FLAGS], EXACT_INT,
+        "objective: 3\n"
+        "set1: 20 1 8 21 6  (indices 1 2 4 5 6)\n"
+        "set2: 15 26 18  (indices 0 3 7)\n"
+        "verified: PASS\n"
+        "exact_min: 1 (locally optimal only)\n"
+        "stats: traverses=1 swaps=2 sign_changes=0 candidate_evaluations=22 wall_time_ns=#\n"),
+       (["solve-traditional", *ALL_FLAGS, "--format", "json"], EXACT_INT,
+        '{"objective": 3, "set1": [20, 1, 8, 21, 6], "set2": [15, 26, 18], "metrics": '
+        '{"traverses": 1, "swaps": 2, "sign_changes": 0, "candidate_evaluations": 22, '
+        '"wall_time_ns": #}, "verified": true, "exact_min": 1}\n'),
+       (["solve-traditional", *ALL_FLAGS], EXACT_FLOAT,
+        "objective: 0.30000000000000004\n"
+        "set1: 2.0 0.1 0.8 2.1 0.6  (indices 1 2 4 5 6)\n"
+        "set2: 1.5 2.6 1.8  (indices 0 3 7)\n"
+        "verified: PASS\n"
+        "exact_min: 0.10000000000000006 (locally optimal only)\n"
+        "stats: traverses=1 swaps=2 sign_changes=0 candidate_evaluations=22 wall_time_ns=#\n"),
+       (["solve-traditional", *ALL_FLAGS, "--format", "json"], EXACT_FLOAT,
+        '{"objective": 0.30000000000000004, "set1": [2.0, 0.1, 0.8, 2.1, 0.6], '
+        '"set2": [1.5, 2.6, 1.8], "metrics": {"traverses": 1, "swaps": 2, "sign_changes": 0, '
+        '"candidate_evaluations": 22, "wall_time_ns": #}, "verified": true, '
+        '"exact_min": 0.10000000000000006}\n'),
+       (["oracle"], EXACT_INT,
+        "exact_min: 1\nlocal_optima: 1 3 5\npartitions_enumerated: 35\n"),
+       (["oracle", "--format", "json"], EXACT_INT,
+        '{"exact_min": 1, "local_optima": [1, 3, 5], "num_partitions_enumerated": 35}\n'),
+       (["oracle"], EXACT_FLOAT,
+        "exact_min: 0.10000000000000006\nlocal_optima: 0.10000000000000006 0.2999999999999998\n"
+        "partitions_enumerated: 35\n"),
+       (["oracle", "--format", "json"], EXACT_FLOAT,
+        '{"exact_min": 0.10000000000000006, "local_optima": [0.10000000000000006, '
+        '0.2999999999999998], "num_partitions_enumerated": 35}\n')]
+)
+
+
+@pytest.mark.parametrize(
+    "argv, stdin_text, expected", EXACT_CASES,
+    ids=[" ".join(argv) + (" int" if text == EXACT_INT else " float")
+         for argv, text, _ in EXACT_CASES],
+)
+def test_exact_output_bytes(capsys, monkeypatch, argv, stdin_text, expected):
+    code, out, err = run_cli(capsys, argv, stdin_text, monkeypatch)
+    assert (code, re.sub(r'(wall_time_ns"?(?:=|: ))\d+', r"\1#", out), err) == (0, expected, "")
+
+
+@pytest.mark.parametrize("argv", [["solve", "--verify"], ["verify"],
+                                  ["solve-traditional", "--verify"]], ids=" ".join)
+def test_failed_verification_exits_3(capsys, monkeypatch, argv):
+    monkeypatch.setattr(cli, "is_locally_optimal_pairswap", lambda state: False)
+    code, out, _ = run_cli(capsys, argv, "1 2 3 8", monkeypatch)
+    assert code == 3 and "\nverified: FAIL\n" in out
+    code, out, _ = run_cli(capsys, [*argv, "--format", "json"], "1 2 3 8", monkeypatch)
+    assert code == 3 and json.loads(out)["verified"] is False
+
+
 def test_random_init_needs_seed(capsys, monkeypatch):
     code, _, err = run_cli(capsys, ["solve", "--init", "random"], "1 2 3 4", monkeypatch)
     assert code == 2
