@@ -89,30 +89,23 @@ def generate(spec: GeneratorSpec) -> Instance:
     """Materialize the instance a spec describes."""
     import random
 
-    rng = random.Random(spec.seed)
+    if spec.family == "geometric":
+        # scale * ratio^k; floats unless integral and small
+        vals = [spec.p2 * spec.p1**k for k in range(spec.n)]
+        if all(isinstance(v, int) for v in vals) and sum(abs(v) for v in vals) < SUM_GUARD:
+            return Instance(tuple(vals), Mode.EXACT_INT)
+        return Instance(tuple(float(v) for v in vals), Mode.FLOAT64)
+    # every other family draws from one range: integers when both ends are ints
     if spec.family == "uniform_int":
         lo, hi = int(spec.p1), int(spec.p2)
-        return Instance(tuple(rng.randint(lo, hi) for _ in range(spec.n)), Mode.EXACT_INT)
-    if spec.family == "uniform_float":
+    elif spec.family == "uniform_float":
         lo, hi = float(spec.p1), float(spec.p2)
-        return Instance(tuple(rng.uniform(lo, hi) for _ in range(spec.n)), Mode.FLOAT64)
-    if spec.family == "near_equal":
-        base, eps = spec.p1, spec.p2
-        if isinstance(base, int) and isinstance(eps, int):
-            return Instance(
-                tuple(rng.randint(base - eps, base + eps) for _ in range(spec.n)),
-                Mode.EXACT_INT,
-            )
-        return Instance(
-            tuple(rng.uniform(base - eps, base + eps) for _ in range(spec.n)),
-            Mode.FLOAT64,
-        )
-    # geometric progression scale * ratio^k; floats unless integral and small
-    ratio, scale = spec.p1, spec.p2
-    vals = [scale * ratio**k for k in range(spec.n)]
-    if all(isinstance(v, int) for v in vals) and sum(abs(v) for v in vals) < SUM_GUARD:
-        return Instance(tuple(vals), Mode.EXACT_INT)
-    return Instance(tuple(float(v) for v in vals), Mode.FLOAT64)
+    else:  # near_equal: base +- epsilon
+        lo, hi = spec.p1 - spec.p2, spec.p1 + spec.p2
+    rng = random.Random(spec.seed)
+    if isinstance(lo, int) and isinstance(hi, int):
+        return Instance(tuple(rng.randint(lo, hi) for _ in range(spec.n)), Mode.EXACT_INT)
+    return Instance(tuple(rng.uniform(lo, hi) for _ in range(spec.n)), Mode.FLOAT64)
 
 
 @dataclass(frozen=True)
@@ -149,10 +142,9 @@ class ScalingReport:
     slope: Optional[float]
 
 
-def _fit_slope(rows: Sequence[ScalingRow]) -> Optional[float]:
-    """Least-squares slope of log(median evals) against log(n)."""
-    if len(rows) < 2:
-        return None
+def _fit_slope(rows: Sequence[ScalingRow]) -> float:
+    """Least-squares slope of log(median evals) against log(n), over at
+    least two sizes (run_suite asks for four)."""
     xs = [math.log(r.n) for r in rows]
     ys = [math.log(max(r.median_candidate_evals, 1.0)) for r in rows]
     k = len(xs)

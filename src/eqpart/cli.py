@@ -112,7 +112,7 @@ def _read_instance(args) -> Instance:
             with open(args.input, "rb") as fh:
                 data = fh.read()
         except OSError as exc:
-            raise InputFormatError(f"cannot read {args.input}: {exc}") from exc
+            raise InputFormatError(f"cannot read {args.input}: {exc.strerror}") from exc
     return parse_input(data, Mode(args.mode) if args.mode else None)
 
 
@@ -206,7 +206,7 @@ def _cmd_bench(args) -> int:
             with open(args.out, "wb") as fh:
                 fh.write(data)
         except OSError as exc:
-            print(f"error: cannot write {args.out}: {exc}", file=sys.stderr)
+            print(f"error: cannot write {args.out}: {exc.strerror}", file=sys.stderr)
             return 1
         print(f"wrote {args.out} (slope {report.slope:.3f})")
     else:

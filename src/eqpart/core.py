@@ -328,7 +328,9 @@ def side1_cardinality(n: int, card1: Optional[int]) -> int:
             )
         return n // 2
     if not 1 <= card1 <= n - 1:
-        raise InvalidCardinalityError(f"cardinality {card1} out of range 1..{n - 1}")
+        raise InvalidCardinalityError(
+            f"cardinality {card1} out of range 1..{n - 1}" if n >= 2 else
+            f"cannot pin cardinality {card1} at N={n}: one value cannot fill two nonempty sides")
     return card1
 
 

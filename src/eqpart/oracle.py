@@ -4,7 +4,8 @@ Everything here enumerates or scans all pairs.  The only logic shared with
 the production solver is setup: the cardinality rule, the sort and the
 initial membership.  The arithmetic, the searches and the local-optimality
 tests are written out again, so these routines serve as the independent
-check of its output: values become exact numerators over the lcm of their
+check of its output (pair swaps, and transfers on a free-cardinality
+result): values become exact numerators over the lcm of their
 as_integer_ratio denominators (core uses a power-of-two scale of its own),
 and d is rounded to input units only when reported.  The equal-cardinality
 enumeration caps at N = 24 (C(24,12)/2 is about 1.35M bipartitions) and
@@ -95,6 +96,16 @@ def pairswap_witness(state: PartitionState, tolerance: float = 0.0):
             if abs(d - 2 * nums[a] + 2 * nums[b]) < abs(d) - tol:
                 return a, b
     return None
+
+
+def is_locally_optimal_transfer(result) -> bool:
+    """True iff no single element move between the sides of a
+    reductions.TraditionalResult shrinks |d|: moving x out of side 1 sends d
+    to d - 2x, out of side 2 to d + 2x.  Exact, on the numerators."""
+    nums = _numerators(result.instance.values)[0]
+    signed = [nums[i] for i in result.part1] + [-nums[i] for i in result.part2]
+    d = sum(signed)
+    return all(abs(d - 2 * x) >= abs(d) for x in signed)
 
 
 def enumerate_equal_partitions(

@@ -24,8 +24,12 @@ from eqpart.core import (
     solve,
     traverse_guard,
 )
-from eqpart.oracle import exact_min_diff_unconstrained, oracle_result
-from eqpart.reductions import is_locally_optimal_transfer, solve_traditional
+from eqpart.oracle import (
+    exact_min_diff_unconstrained,
+    is_locally_optimal_transfer,
+    oracle_result,
+)
+from eqpart.reductions import solve_traditional
 
 STRATEGIES = (
     InitStrategy.ALTERNATING,

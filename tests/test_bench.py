@@ -2,6 +2,7 @@
 
 import csv
 import dataclasses
+import hashlib
 import io
 import json
 
@@ -57,6 +58,36 @@ def test_generate_geometric():
 def test_generate_determinism():
     spec = GeneratorSpec("uniform_int", 64, 42, 1, 10**9)
     assert generate(spec).values == generate(spec).values
+
+
+def test_generate_near_equal_fractional_epsilon_draws_floats():
+    inst = generate(GeneratorSpec("near_equal", 200, 5, 10**6, 0.5))
+    assert inst.mode is Mode.FLOAT64
+    assert all(10**6 - 0.5 <= v <= 10**6 + 0.5 for v in inst.values)
+    assert len(set(inst.values)) > 1
+
+
+# Every family with integral and fractional parameters.  The digest pins the
+# drawn values and modes, so a rewrite of generate must keep every draw.
+GENERATE_CASES = [
+    ("uniform_int", 1, 10**6), ("uniform_int", -50, 50), ("uniform_int", 3.0, 9.0),
+    ("uniform_float", 1, 10**6), ("uniform_float", 0.0, 1.0), ("uniform_float", -2.5, 7.25),
+    ("near_equal", 10**6, 100), ("near_equal", 10**6, 0.5), ("near_equal", 2.5, 1),
+    ("near_equal", 0.75, 0.25), ("near_equal", 7, 0),
+    ("geometric", 1.001, 10**6), ("geometric", 2, 3), ("geometric", 1.5, 0.25),
+    ("geometric", 3, 1),
+]
+GENERATE_DIGEST = "1742191eaccfc4dec57a40859234e11c565660224605c2a4baae47fafc774bfc"
+
+
+def test_generate_output_is_pinned():
+    digest = hashlib.sha256()
+    for family, p1, p2 in GENERATE_CASES:
+        for n in (2, 7, 64):
+            for seed in (0, 1, 2):
+                inst = generate(GeneratorSpec(family, n, seed, p1, p2))
+                digest.update(repr((inst.mode.value, inst.values)).encode())
+    assert digest.hexdigest() == GENERATE_DIGEST
 
 
 def test_spec_validation():

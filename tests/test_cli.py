@@ -1,5 +1,6 @@
 """Tests for input parsing and the command-line surface."""
 
+import errno
 import itertools
 import json
 import math
@@ -367,6 +368,25 @@ def test_cardinality_out_of_range_exit_2(capsys, monkeypatch):
     assert code == 2
 
 
+@pytest.mark.parametrize("argv", [["solve", "--cardinality", "1"],
+                                  ["solve", "--cardinality", "0"],
+                                  ["solve", "--cardinality", "2"],
+                                  ["solve", "--oracle", "--cardinality", "1"],
+                                  ["verify", "--cardinality", "1"]], ids=" ".join)
+def test_cardinality_on_a_single_value_names_n(capsys, monkeypatch, argv):
+    # the message used to name the empty range "1..0"
+    code, out, err = run_cli(capsys, argv, "1", monkeypatch)
+    k = argv[-1]
+    assert (code, out) == (2, "")
+    assert err == (f"error: cannot pin cardinality {k} at N=1: "
+                   "one value cannot fill two nonempty sides\n")
+
+
+def test_single_value_without_cardinality_keeps_its_message(capsys, monkeypatch):
+    code, _, err = run_cli(capsys, ["solve"], "1", monkeypatch)
+    assert (code, err) == (2, "error: equal-cardinality solving needs even N >= 2, got N=1\n")
+
+
 def test_verify_subcommand(capsys, monkeypatch):
     code, out, _ = run_cli(capsys, ["verify"], "4 4 4 4", monkeypatch)
     assert code == 0
@@ -386,6 +406,37 @@ def test_oracle_cap_exit_2(capsys, monkeypatch):
     )
     assert code == 2
     assert "cap" in err
+
+
+def test_traditional_oracle_cap_exit_2(capsys, monkeypatch):
+    code, out, err = run_cli(capsys, ["solve-traditional", "--oracle"],
+                             "\n".join(map(str, range(1, 26))), monkeypatch)
+    assert (code, out) == (2, "")
+    assert err == "error: N=25 exceeds the enumeration cap of 24\n"
+
+
+def _mask_wall_time(text):
+    """Wall times in text, JSON and CSV output replaced by #."""
+    text = re.sub(r'(wall_time_ns"?(?:=|: ))[\d.]+', r"\1#", text)
+    return re.sub(r"^((?:[^,\n]*,){6})\d+,", r"\1#,", text, flags=re.M)
+
+
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_solve_input_file_matches_stdin(capsys, monkeypatch, tmp_path, fmt):
+    path = tmp_path / "in.txt"
+    path.write_text(EXACT_INT)
+    argv = ["solve", "--verify", "--format", fmt]
+    from_file = run_cli(capsys, [*argv, "--input", str(path)])
+    from_stdin = run_cli(capsys, argv, EXACT_INT, monkeypatch)
+    assert from_file[0] == 0 and from_file[2] == ""
+    assert _mask_wall_time(from_file[1]) == _mask_wall_time(from_stdin[1])
+
+
+def test_missing_input_file_exit_1_names_the_path_once(capsys, tmp_path):
+    path = tmp_path / "absent.txt"
+    code, out, err = run_cli(capsys, ["solve", "--input", str(path)])
+    assert (code, out) == (1, "")
+    assert err == f"error: cannot read {path}: {os.strerror(errno.ENOENT)}\n"
 
 
 # Exact bytes of every non-bench subcommand in both formats, wall time masked.
@@ -509,6 +560,30 @@ def test_bench_json_output(capsys):
     payload = json.loads(out)
     assert 0 < payload["slope"] < 3
     assert len(payload["runs"]) == 4
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_bench_out_writes_what_stdout_prints(capsys, tmp_path, fmt):
+    path = tmp_path / f"bench.{fmt}"
+    argv = ["bench", "--sizes", "16,32,64,128", "--reps", "1", "--format", fmt]
+    code, out, err = run_cli(capsys, [*argv, "--out", str(path)])
+    assert (code, err) == (0, "")
+    assert re.fullmatch(rf"wrote {re.escape(str(path))} \(slope -?\d+\.\d{{3}}\)\n", out)
+    _, printed, _ = run_cli(capsys, argv)
+    assert _mask_wall_time(path.read_text()) == _mask_wall_time(printed)
+
+
+def test_bench_out_into_a_missing_directory_exit_1(capsys, tmp_path):
+    path = tmp_path / "missing" / "bench.csv"
+    code, out, err = run_cli(capsys, ["bench", "--sizes", "16,32,64,128", "--reps", "1",
+                                      "--out", str(path)])
+    assert (code, out) == (1, "")
+    assert err == f"error: cannot write {path}: {os.strerror(errno.ENOENT)}\n"
+
+
+def test_bench_zero_reps_exit_2(capsys):
+    code, out, err = run_cli(capsys, ["bench", "--sizes", "16,32,64,128", "--reps", "0"])
+    assert (code, out, err) == (2, "", "error: repetitions must be positive\n")
 
 
 def test_bench_default_geometric_run_makes_swaps(capsys):

@@ -37,8 +37,13 @@ from eqpart.core import (
     solve,
     traverse_guard,
 )
-from eqpart.oracle import exact_min_diff, local_optima_set, pairswap_witness
-from eqpart.reductions import TraditionalResult, is_locally_optimal_transfer, solve_traditional
+from eqpart.oracle import (
+    exact_min_diff,
+    is_locally_optimal_transfer,
+    local_optima_set,
+    pairswap_witness,
+)
+from eqpart.reductions import TraditionalResult, solve_traditional
 from conftest import make_state
 
 ALL_STRATEGIES = [

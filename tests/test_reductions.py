@@ -13,11 +13,11 @@ from eqpart.core import (
     is_locally_optimal_pairswap,
     solve,
 )
-from eqpart.oracle import exact_min_diff_unconstrained
+from eqpart import oracle, reductions
+from eqpart.oracle import exact_min_diff_unconstrained, is_locally_optimal_transfer
 from eqpart.reductions import (
     TraditionalResult,
     affine_transform,
-    is_locally_optimal_transfer,
     solve_traditional,
     solve_with_cardinality,
     to_equal_cardinality,
@@ -77,6 +77,23 @@ def test_transfer_checker_examples():
     assert not is_locally_optimal_transfer(_traditional_result([1, 2, 3], (0, 1, 2)))
     # {3} | {1,1}: d=1; transfers give 5, 3, 3
     assert is_locally_optimal_transfer(_traditional_result([1, 1, 3], (2,)))
+
+
+def test_transfer_check_lives_in_the_oracle():
+    # reductions re-exports the oracle's check under its old name; src holds
+    # one verifier of its own, core.is_locally_optimal_pairswap
+    assert reductions.is_locally_optimal_transfer is oracle.is_locally_optimal_transfer
+
+
+def test_transfer_checker_decides_floats_exactly():
+    # {1, 2^-60} | {}: d = 1 + 2^-60 rounds to 1.0, so in floats moving 1.0
+    # gives |d'| = 1.0, no gain; exactly it lowers |d| by 2^-59
+    assert not is_locally_optimal_transfer(_traditional_result([1.0, 2.0**-60], (0, 1)))
+    assert is_locally_optimal_transfer(_traditional_result([0.1, 0.2, 0.3], (0, 1)))
+    assert not is_locally_optimal_transfer(_traditional_result([0.1, 0.2, 0.3], (0,)))
+    assert is_locally_optimal_transfer(_traditional_result([5e-324, 0.0, -0.0], (0,)))
+    assert is_locally_optimal_transfer(_traditional_result([5e-324, 5e-324, 1e300], (2,)))
+    assert not is_locally_optimal_transfer(_traditional_result([5e-324, 5e-324, 1e300], ()))
 
 
 def test_traditional_results_pass_both_checkers():
@@ -230,9 +247,24 @@ def test_affine_transform_guards():
     inst = Instance.from_values([1, 2, 3, 8])
     with pytest.raises(ValueError):
         affine_transform(inst, 0, 1)
-    with pytest.raises(OverflowGuardError):
+    # Instance refuses the float values a float alpha or beta makes in exact mode
+    with pytest.raises(OverflowGuardError, match="requires int values"):
         affine_transform(inst, 1.5, 0)
+    with pytest.raises(OverflowGuardError, match="requires int values"):
+        affine_transform(inst, 2, 0.0)
+    # bools are ints to Python arithmetic: True * x + False is an int
+    assert affine_transform(inst, True, False).values == inst.values
     with pytest.raises(OverflowGuardError):
         affine_transform(inst, 1 << 61, 0)
+    with pytest.raises(OverflowGuardError, match="transformed values exceed"):
+        affine_transform(Instance.from_values([1 << 60] * 4), 1, 0)
     fl = affine_transform(Instance.from_values([1.0, 2.0]), 0.5, 1.0)
     assert fl.values == (1.5, 2.0)
+
+
+def test_affine_transform_of_an_empty_exact_instance_is_empty():
+    # no value is made, so no non-int value reaches Instance's int check:
+    # any nonzero alpha and any beta give the empty instance
+    empty = Instance((), Mode.EXACT_INT)
+    for alpha, beta in ((1.5, 0), (2, 0.5), (2, 3)):
+        assert affine_transform(empty, alpha, beta) == empty
