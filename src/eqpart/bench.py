@@ -21,11 +21,11 @@ import statistics
 from dataclasses import asdict, astuple, dataclass, fields, replace
 from typing import Iterable, Optional, Sequence
 
-from .core import (
+from .core import (  # BenchInvariantError is core's, re-exported here
+    BenchInvariantError,
     Instance,
     InternalConsistencyError,
     Mode,
-    PartitionError,
     SUM_GUARD,
     SolverConfig,
     solve,
@@ -35,10 +35,6 @@ from .core import (
 # near 1, so a geometric run has distinct terms, finite to N of about 7e5
 FAMILIES = {"uniform_int": (1, 10**6), "uniform_float": (1, 10**6),
             "near_equal": (10**6, 100), "geometric": (1.001, 10**6)}
-
-
-class BenchInvariantError(PartitionError):
-    """A benchmarked run broke an invariant; the message names family, size and seed."""
 
 
 @dataclass(frozen=True)

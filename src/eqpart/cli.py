@@ -14,12 +14,16 @@ import math
 import re
 import sys
 
+# bench, oracle and reductions are imported by the handlers that call them,
+# so a solve neither loads nor compiles them
 from .core import (
+    BenchInvariantError,
     Instance,
     InternalConsistencyError,
     InvalidCardinalityError,
     InitStrategy,
     Mode,
+    OracleCapError,
     OverflowGuardError,
     PartitionError,
     SolverConfig,
@@ -28,10 +32,6 @@ from .core import (
     is_locally_optimal_pairswap,
     solve,
 )
-from . import bench as bench_mod
-from .bench import BenchInvariantError, GeneratorSpec
-from .oracle import OracleCapError, exact_min_diff_unconstrained, oracle_result
-from .reductions import solve_traditional
 
 
 class InputFormatError(PartitionError):
@@ -127,6 +127,7 @@ def _cmd_solve(args) -> int:
     cfg = _config_from_args(args)
     traditional = args.command == "solve-traditional"
     if traditional:
+        from .reductions import solve_traditional
         result = solve_traditional(instance, cfg)
         report, objective, sides = (result.extended_report, result.objective,
                                     (result.part1, result.part2))
@@ -140,6 +141,7 @@ def _cmd_solve(args) -> int:
         verified = is_locally_optimal_pairswap(report.partition)
     exact_min = None
     if args.oracle:
+        from .oracle import exact_min_diff_unconstrained, oracle_result
         exact_min = (exact_min_diff_unconstrained(instance) if traditional
                      else oracle_result(instance, card1=args.cardinality).exact_min)
     set1, set2 = ([instance.values[i] for i in idx] for idx in sides)
@@ -178,6 +180,7 @@ def _cmd_solve(args) -> int:
 
 
 def _cmd_oracle(args) -> int:
+    from .oracle import oracle_result
     res = oracle_result(_read_instance(args))
     if args.format == "json":
         print(json.dumps(dataclasses.asdict(res)))
@@ -189,13 +192,14 @@ def _cmd_oracle(args) -> int:
 
 
 def _cmd_bench(args) -> int:
+    from . import bench as bench_mod
     sizes = [int(s) for s in args.sizes.split(",") if s]
     family = args.family.replace("-", "_")
     # argparse delivers p1/p2 as floats; integral ones mean integer families
     p1, p2 = (default if p is None else int(p) if p.is_integer() else p
               for p, default in zip((args.p1, args.p2), bench_mod.FAMILIES[family]))
     specs = [
-        GeneratorSpec(family=family, n=n, seed=args.seed, p1=p1, p2=p2)
+        bench_mod.GeneratorSpec(family=family, n=n, seed=args.seed, p1=p1, p2=p2)
         for n in sizes
     ]
     cfg = _config_from_args(args)

@@ -88,6 +88,15 @@ class InternalConsistencyError(PartitionError):
     maintained d that disagrees with its recomputation."""
 
 
+class OracleCapError(PartitionError):
+    """Instance too large for exhaustive enumeration (see eqpart.oracle)."""
+
+
+class BenchInvariantError(PartitionError):
+    """A benchmarked run broke an invariant; the message names family, size
+    and seed (see eqpart.bench)."""
+
+
 @dataclass(frozen=True)
 class Instance:
     """Input multiset with original positions preserved."""
@@ -257,9 +266,8 @@ def scaled_ints(values) -> tuple:
 
 
 def _side_diff(values, in_set1):
-    """s1 - s2 of the sides marked by in_set1."""
-    s1 = sum(itertools.compress(values, in_set1))
-    return s1 - sum(itertools.compress(values, map(operator.not_, in_set1)))
+    """s1 - s2 of the sides marked by in_set1: 2*s1 - (s1 + s2)."""
+    return 2 * sum(itertools.compress(values, in_set1)) - sum(values)
 
 
 def normalize_and_sort(instance: Instance) -> SortedInstance:
@@ -288,8 +296,11 @@ def _initial_membership(xs: tuple, cfg: SolverConfig, card1: int) -> list:
     in_set1 = [False] * n
     if cfg.init_strategy is InitStrategy.ALTERNATING:
         # Bresenham spread of card1 slots over n indices; reduces to
-        # "odd sorted positions" (1-based) when card1 == n // 2.
-        in_set1 = [(i * card1) % n < card1 for i in range(n)]
+        # "odd sorted positions" (1-based) when card1 == n // 2.  The
+        # pattern repeats every n // g indices, since (n // g) * card1 is a
+        # multiple of n: [True, False] * (n // 2) at card1 == n // 2.
+        g = math.gcd(n, card1)
+        in_set1 = [(i * card1) % n < card1 for i in range(n // g)] * g
     elif cfg.init_strategy is InitStrategy.SPLIT_HALF:
         in_set1 = [True] * card1 + [False] * (n - card1)
     elif cfg.init_strategy is InitStrategy.RANDOM:
@@ -408,9 +419,14 @@ def run_traverse(
     larger-side cursors with list.index and counts the skipped ones in bulk
     (all N at once when d == 0).  A larger-side cursor right above the
     floor with no tie group below it has an empty window and becomes the
-    floor at 0 evaluations, before any scan set-up.  Each cursor counts
-    what a visit would count, so the 2N argument is unchanged.  The sweep
-    reads nothing from cfg.
+    floor at 0 evaluations, before any scan set-up.  With no tie group, a
+    cursor whose gap values[n] - values[n-1] is at least e cannot swap
+    either: the run's top partner gives e' = e - 2*gap <= -e, and every
+    lower one less, so the scan would visit the whole run and keep no
+    partner.  Such a cursor becomes the floor in O(1) and counts the run's
+    n - floor - 1 evaluations.  Each cursor counts what a visit would
+    count, so the 2N argument is unchanged.  The sweep reads nothing from
+    cfg.
     """
     metrics.traverses += 1
     values, in_set1, d = state.values, state.in_set1, state.d
@@ -430,8 +446,10 @@ def run_traverse(
             break
         evals += n - after  # the smaller-side cursors jumped over
         tied = floor > 0 and values[floor - 1] == values[floor]
-        if floor == n - 1 and not tied:
-            floor = n  # empty window: no run above the floor, no tie group below it
+        if not tied and (floor == n - 1 or values[n] - values[n - 1] >= e):
+            # no tie group, and an empty run or one whose top gives e' <= -e
+            evals += n - floor - 1
+            floor = n
             continue
         window = range(floor + 1, n)
         if tied:

@@ -21,12 +21,12 @@ from dataclasses import dataclass
 from itertools import combinations, compress, product
 from typing import Iterator, Optional
 
-from .core import (
+from .core import (  # OracleCapError is core's, re-exported here
     Instance,
     InvalidCardinalityError,
     Metrics,
     Mode,
-    PartitionError,
+    OracleCapError,
     PartitionState,
     SolveReport,
     SolverConfig,
@@ -36,10 +36,6 @@ from .core import (
 )
 
 ENUMERATION_CAP = 24
-
-
-class OracleCapError(PartitionError):
-    """Instance too large for exhaustive enumeration."""
 
 
 @dataclass(frozen=True)

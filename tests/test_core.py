@@ -212,6 +212,34 @@ def test_random_init_requires_seed():
         SolverConfig(init_strategy=InitStrategy.RANDOM)
 
 
+def test_alternating_start_repeats_its_period():
+    # the start is built from one period of n // gcd(n, card1) indices
+    cfg = SolverConfig(init_strategy=InitStrategy.ALTERNATING)
+    for n in range(1, 81):
+        for card1 in range(1, n):
+            assert core._initial_membership(tuple(range(n)), cfg, card1) == [
+                (i * card1) % n < card1 for i in range(n)], (n, card1)
+
+
+@st.composite
+def _memberships(draw):
+    """Values up to 2^62 / N in size, negatives included, and any membership."""
+    n = draw(st.integers(1, 60))
+    big = SUM_GUARD // n
+    values = draw(st.lists(st.one_of(st.integers(-big + 1, big - 1), st.integers(-5, 5),
+                                     st.sampled_from([big - 1, 1 - big])),
+                           min_size=n, max_size=n))
+    return values, draw(st.lists(st.booleans(), min_size=n, max_size=n))
+
+
+@given(_memberships())
+def test_side_diff_is_one_side_twice_less_the_total(case):
+    values, in_set1 = case
+    s1 = sum(x for x, m in zip(values, in_set1) if m)
+    s2 = sum(x for x, m in zip(values, in_set1) if not m)
+    assert core._side_diff(tuple(values), in_set1) == s1 - s2
+
+
 @given(
     st.lists(st.integers(0, 100), min_size=2, max_size=20).filter(lambda v: len(v) % 2 == 0),
     st.sampled_from(range(4)),
@@ -402,6 +430,22 @@ def test_sweep_empty_windows_become_the_floor_for_free():
     # + skip 7
     assert metrics.candidate_evaluations == 7
     assert state.d == 1
+
+
+def test_sweep_rejects_a_cursor_whose_gap_reaches_e_at_once():
+    # d = 301 - 306 = -5, larger side 2 = {1, 3, 5}.  Cursor 1 swaps with
+    # index 0 (e' = 5 - 4 + 2 = 3).  Cursor 3 (value 103) sits 3 above
+    # index 2 and 3 >= e: the run's top partner gives e' = 3 - 6 = -3 and
+    # index 1 less, so the cursor becomes the floor without a scan,
+    # counting the run's 2 evaluations.  Cursor 5 swaps with index 4
+    # (e' = 3 - 402 + 400 = 1).
+    outcome, events, metrics, state = _sweep([1, 2, 100, 103, 200, 201], {0, 2, 4})
+    assert outcome is TraverseOutcome.COMPLETED
+    assert events == [(1, 0, -5, -3, TraverseOutcome.COMPLETED),
+                      (5, 4, -3, -1, TraverseOutcome.COMPLETED)]
+    # skip 0 + cursor 1 (1) + skip 2 + cursor 3 (2) + skip 4 + cursor 5 (1)
+    assert metrics.candidate_evaluations == 7
+    assert (metrics.swaps, state.d) == (2, -1)
 
 
 def test_sweep_tie_below_the_floor_keeps_the_window_open():
@@ -686,6 +730,7 @@ def _block_membership(data, n):
         st.lists(_decimal_floats, min_size=2, max_size=40),
         st.lists(st.integers(1, 10**6), min_size=2, max_size=200),
         st.lists(st.integers(0, 9), min_size=2, max_size=200),
+        st.lists(st.integers(1, 10**9), min_size=2, max_size=400),  # wide gaps
     ),
     st.sampled_from(ALL_STRATEGIES + [None]),  # None: a block-structured start
     st.booleans(),
@@ -708,6 +753,19 @@ def test_sweep_matches_reference(values, cfg, pinned, data):
         with mock.patch.object(core, "run_traverse", reference_sweep):
             expected = _solve_outcome(values, cfg, card1)
         assert _solve_outcome(values, cfg, card1) == expected
+
+
+@pytest.mark.parametrize("cfg", ALL_STRATEGIES, ids=lambda c: c.init_strategy.value)
+def test_sweep_matches_reference_at_4096(cfg):
+    # one seeded solve per init; the gap reject runs 1279-3174 times in the
+    # alternating, random and greedy descents, once in split's one sweep
+    rng = random.Random(4096)
+    values = [rng.randint(1, 10**9) for _ in range(4096)]
+    cfg = dataclasses.replace(cfg, collect_trace=True)
+    with mock.patch.object(core, "run_traverse", reference_sweep):
+        expected = _solve_outcome(values, cfg, None)
+    assert _solve_outcome(values, cfg, None) == expected
+    assert expected[-1].swaps > 0
 
 
 def _exact_objective(values, set1, set2):

@@ -37,6 +37,17 @@ def test_cli_loads_no_numpy():
     assert not {m for m in loaded if m == "numpy" or m.startswith("numpy.")}
 
 
+def test_cli_loads_only_what_solve_needs():
+    # bench, oracle and reductions load in the handlers that call them;
+    # main catches their errors as core's classes
+    loaded = loaded_modules("import eqpart.cli")
+    assert not loaded & {"eqpart.bench", "eqpart.oracle", "eqpart.reductions",
+                         "statistics", "fractions", "csv"}
+    from eqpart import bench, core, oracle
+    assert oracle.OracleCapError is core.OracleCapError
+    assert bench.BenchInvariantError is core.BenchInvariantError
+
+
 def fence(heading):
     """Body of the first code fence after a `## heading` line."""
     section = README.split(f"\n## {heading}\n", 1)[1]
