@@ -1,8 +1,8 @@
 """Command-line front end: solve, solve-traditional, verify, oracle, bench.
 
-Exit codes: 0 success, 1 malformed input, 2 constraint violation (odd N,
-cardinality range, oracle cap, overflow guard), 3 internal invariant
-failure.
+Exit codes: 0 success, 1 malformed input or unwritable output (--out, a
+closed stdout), 2 constraint violation (odd N, cardinality range, oracle
+cap, overflow guard), 3 internal invariant failure.
 """
 
 from __future__ import annotations
@@ -11,6 +11,7 @@ import argparse
 import dataclasses
 import json
 import math
+import os
 import re
 import sys
 
@@ -285,7 +286,13 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # a closed reader raises here, not at interpreter exit
+    except BrokenPipeError as exc:  # devnull takes the rest: the exit flush cannot fail
+        with open(os.devnull, "wb") as devnull:
+            os.dup2(devnull.fileno(), sys.stdout.fileno())
+        print(f"error: cannot write stdout: {exc.strerror}", file=sys.stderr)
+        return 1
     except InputFormatError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
@@ -295,6 +302,7 @@ def main(argv=None) -> int:
     except (InternalConsistencyError, BenchInvariantError) as exc:
         print(f"internal error: {exc}", file=sys.stderr)
         return 3
+    return code
 
 
 if __name__ == "__main__":

@@ -11,7 +11,7 @@ sweep; a completed sweep (or an exact zero) terminates.
 
 One numeric path: the descent runs on exact Python ints, the input's own
 (guarded below 2^62) or, for floats, the input times one power of two
-(scaled_ints); float results are rounded back to input units at emission.
+(scaled_ints), which solve reports; only the objective is in input units.
 """
 
 from __future__ import annotations
@@ -191,12 +191,12 @@ class Metrics:
 
 @dataclass(frozen=True)
 class SwapEvent:
-    """One applied swap: cursor/partner are sorted indices."""
+    """One applied swap of sorted indices; d in the descent's exact ints."""
 
     cursor: int
     partner: int
-    d_before: float | int
-    d_after: float | int
+    d_before: int
+    d_after: int
     outcome: TraverseOutcome
 
 
@@ -205,9 +205,9 @@ class PartitionState:
     """Membership of each sorted index plus the maintained difference.
 
     in_set1[i] is True when sorted index i belongs to side 1; d is the side-1
-    sum minus the side-2 sum.  The descent's state holds exact ints, the
-    input values times scale (see scaled_ints); a FLOAT64 state holds
-    input-unit floats, and d is the exact difference rounded.
+    sum minus the side-2 sum.  Solver states are exact: the input values
+    times scale as ints (see scaled_ints).  Input-unit FLOAT64 states, d the
+    exact difference rounded, come only from from_membership and the oracle.
     """
 
     values: tuple
@@ -234,8 +234,10 @@ class PartitionState:
 
 @dataclass(frozen=True)
 class SolveReport:
-    """Final partition plus instrumentation, in input units.  maintained_drift
-    is always 0: the descent is exact."""
+    """Final partition plus instrumentation.  partition is the descent's own
+    exact state, as is the trace's d; objective is |d| / scale rounded once
+    for float input, |d| for ints.  Input-unit values are
+    sorted_instance.sorted_values.  maintained_drift is always 0."""
 
     partition: PartitionState
     objective: float | int
@@ -358,9 +360,9 @@ def init_partition(
 
 
 def recompute_sums(state: PartitionState) -> PartitionState:
-    """Recompute d exactly, as from_membership does, and check it against
-    the maintained d; a mismatch means a bug, not input trouble."""
-    d = PartitionState.from_membership(state.values, state.in_set1, state.mode).d
+    """Recompute a solver state's d exactly from its membership and check it
+    against the maintained d; a mismatch means a bug, not input trouble."""
+    d = _side_diff(state.values, state.in_set1)
     if d != state.d:
         raise InternalConsistencyError(f"maintained d {state.d} != recomputed {d}")
     return state
@@ -529,12 +531,6 @@ def solve(
         if outcome is not TraverseOutcome.SIGN_FLIPPED:
             break
     recompute_sums(state)
-    if si.mode is Mode.FLOAT64:  # back to input units, each d rounded once
-        scale = state.scale
-        state = PartitionState(si.sorted_values, state.in_set1, state.d / scale, si.mode)
-        if trace:
-            trace = [SwapEvent(e.cursor, e.partner, e.d_before / scale, e.d_after / scale,
-                               e.outcome) for e in trace]
     member = [False] * len(si)  # side 1 scattered back to input order
     for i in itertools.compress(si.perm, state.in_set1):
         member[i] = True
@@ -543,7 +539,7 @@ def solve(
     metrics.wall_time_ns = time.perf_counter_ns() - t0
     return SolveReport(
         partition=state,
-        objective=abs(state.d),
+        objective=abs(state.d) / state.scale if si.mode is Mode.FLOAT64 else abs(state.d),
         metrics=metrics,
         original_set1=set1,
         original_set2=set2,

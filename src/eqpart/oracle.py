@@ -127,11 +127,6 @@ def enumerate_equal_partitions(
         yield PartitionState(si.sorted_values, in_set1, d, si.mode)
 
 
-def exact_min_diff(instance: Instance):
-    """Minimum |S1 - S2| over all equal-cardinality bipartitions."""
-    return min(abs(s.d) for s in enumerate_equal_partitions(instance))
-
-
 def local_optima_set(instance: Instance) -> tuple:
     """Sorted objective values of all pair-swap locally optimal bipartitions."""
     return oracle_result(instance).local_optima
@@ -207,8 +202,3 @@ def reference_local_search(
     metrics.wall_time_ns = time.perf_counter_ns() - t0
     return SolveReport(partition=state, objective=abs(state.d), metrics=metrics,
                        original_set1=set1, original_set2=set2, sorted_instance=si)
-
-
-def binomial_half(n: int) -> int:
-    """C(n, n/2) / 2: the number of unordered equal-cardinality bipartitions."""
-    return math.comb(n, n // 2) // 2

@@ -206,6 +206,24 @@ def test_long_bad_float_token_fails_fast():
                            "... (100001 characters) is not a number\n")
 
 
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_closed_stdout_exits_1_with_one_line(fmt):
+    # the reader of the child's stdout is closed before the child gets its
+    # input, so its first write fails: exit 1 and one error line, no traceback
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parent.parent / "src"))
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.Popen([sys.executable, "-m", "eqpart.cli", "solve", "--format", fmt],
+                                stdin=subprocess.PIPE, stdout=write_end, stderr=subprocess.PIPE,
+                                env=env)
+    finally:
+        os.close(write_end)
+    _, err = proc.communicate(b"1 2 3 8\n", timeout=30)
+    assert proc.returncode == 1
+    assert err.decode().splitlines() == ["error: cannot write stdout: Broken pipe"]
+
+
 # ----------------------------------------------------------------- CLI runs
 
 

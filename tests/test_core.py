@@ -38,7 +38,7 @@ from eqpart.core import (
     traverse_guard,
 )
 from eqpart.oracle import (
-    exact_min_diff,
+    enumerate_equal_partitions,
     is_locally_optimal_transfer,
     local_optima_set,
     pairswap_witness,
@@ -775,6 +775,22 @@ def _exact_objective(values, set1, set2):
     return float(abs(exact))
 
 
+def _assert_exact_float_report(report):
+    """A float solve reports the descent's own state: the sorted input
+    times scale as exact ints, the exact d, and every trace d an int; the
+    objective is |d| / scale rounded once, and the verifier's verdict is
+    the one it gives on the input-unit state of the same membership."""
+    state, si = report.partition, report.sorted_instance
+    assert (state.values, state.scale) == core.scaled_ints(si.sorted_values)
+    assert report.objective == abs(state.d) / state.scale
+    assert all(type(e.d_before) is int and type(e.d_after) is int for e in report.trace)
+    recompute_sums(state)
+    floats = PartitionState.from_membership(si.sorted_values, state.in_set1, Mode.FLOAT64)
+    for tolerance in (0.0, 1e-12, 1e-3):
+        assert (is_locally_optimal_pairswap(state, tolerance)
+                == is_locally_optimal_pairswap(floats, tolerance))
+
+
 @given(
     st.lists(_decimal_floats, min_size=2, max_size=40),
     st.sampled_from(ALL_STRATEGIES),
@@ -787,6 +803,7 @@ def test_float_input_gets_the_integer_guarantees(values, cfg, kind, data):
     # sweeps, a tolerance-0 certificate, and the objective is the correctly
     # rounded exact difference of the reported sides
     inst = Instance(tuple(values), Mode.FLOAT64)
+    cfg = dataclasses.replace(cfg, collect_trace=True)
     if kind == "traditional":
         result = solve_traditional(inst, cfg)
         report, set1, set2 = result.extended_report, result.part1, result.part2
@@ -801,7 +818,7 @@ def test_float_input_gets_the_integer_guarantees(values, cfg, kind, data):
     assert is_locally_optimal_pairswap(report.partition)
     assert report.objective == _exact_objective(inst.values, set1, set2)
     assert report.maintained_drift == 0.0
-    recompute_sums(report.partition)  # the input-unit state's d is the exact one, rounded
+    _assert_exact_float_report(report)  # the report is the descent's exact state
 
 
 @pytest.mark.parametrize("values", [
@@ -815,9 +832,10 @@ def test_scaled_ints_are_exact_at_the_edges(values):
     ints, scale = core.scaled_ints(values)
     assert scale & (scale - 1) == 0 and all(type(i) is int for i in ints)
     assert [Fraction(x) * scale for x in values] == list(ints)
-    r = solve(Instance(values, Mode.FLOAT64))
+    r = solve(Instance(values, Mode.FLOAT64), SolverConfig(collect_trace=True))
     assert is_locally_optimal_pairswap(r.partition)
     assert r.objective == _exact_objective(values, r.original_set1, r.original_set2)
+    _assert_exact_float_report(r)
 
 
 # ---------------------------------------------------------------------- solve
@@ -1022,7 +1040,7 @@ def test_solve_invariants(values, strategy_idx):
 def test_solve_lands_on_an_enumerated_local_optimum(values, strategy_idx):
     inst = Instance.from_values(values)
     r = solve(inst, ALL_STRATEGIES[strategy_idx])
-    assert r.objective >= exact_min_diff(inst)
+    assert r.objective >= min(abs(s.d) for s in enumerate_equal_partitions(inst))
     assert r.objective in local_optima_set(inst)
 
 

@@ -20,9 +20,7 @@ from eqpart.core import (
 from eqpart.oracle import (
     ENUMERATION_CAP,
     OracleCapError,
-    binomial_half,
     enumerate_equal_partitions,
-    exact_min_diff,
     exact_min_diff_unconstrained,
     local_optima_set,
     oracle_result,
@@ -41,7 +39,7 @@ def test_enumerate_lists_each_bipartition_once():
 def test_enumerate_counts():
     assert sum(1 for _ in enumerate_equal_partitions(Instance.from_values([3, 9]))) == 1
     inst6 = Instance.from_values([1, 2, 3, 4, 5, 6])
-    assert sum(1 for _ in enumerate_equal_partitions(inst6)) == 10 == binomial_half(6)
+    assert sum(1 for _ in enumerate_equal_partitions(inst6)) == 10 == math.comb(6, 3) // 2
 
 
 @pytest.mark.parametrize("n, k", [(5, 2), (6, 1), (7, 6), (8, 3), (6, 3)])
@@ -51,7 +49,7 @@ def test_enumerate_pinned_cardinality(n, k):
     assert all(len(p) == k for p in parts)
     assert len(set(parts)) == len(parts)
     if 2 * k == n:  # label symmetry: one of each complementary pair
-        assert len(parts) == binomial_half(n) and all(0 in p for p in parts)
+        assert len(parts) == math.comb(n, n // 2) // 2 and all(0 in p for p in parts)
     else:
         assert len(parts) == math.comb(n, k)
 
@@ -76,9 +74,9 @@ def test_enumeration_cap_and_parity():
 
 
 def test_exact_min_examples():
-    assert exact_min_diff(Instance.from_values([1, 2, 3, 8])) == 4
-    assert exact_min_diff(Instance.from_values([1, 2, 3, 4])) == 0
-    assert exact_min_diff(Instance.from_values([7] * 6)) == 0
+    for values, best in [([1, 2, 3, 8], 4), ([1, 2, 3, 4], 0), ([7] * 6, 0)]:
+        inst = Instance.from_values(values)
+        assert min(abs(s.d) for s in enumerate_equal_partitions(inst)) == best
 
 
 def test_local_optima_examples():
@@ -94,8 +92,8 @@ def test_oracle_result_invariants(values):
     res = oracle_result(inst)
     assert res.local_optima
     assert res.exact_min == min(res.local_optima)
-    assert res.num_partitions_enumerated == binomial_half(len(values))
-    assert res.exact_min == exact_min_diff(inst)
+    assert res.num_partitions_enumerated == math.comb(len(values), len(values) // 2) // 2
+    assert res.exact_min == min(abs(s.d) for s in enumerate_equal_partitions(inst))
 
 
 def test_reference_local_search_examples():
@@ -116,7 +114,7 @@ def test_reference_search_reaches_a_local_optimum(values):
     r = reference_local_search(inst)
     assert is_locally_optimal_pairswap(r.partition)
     assert r.objective in local_optima_set(inst)
-    assert r.objective >= exact_min_diff(inst)
+    assert r.objective >= min(abs(s.d) for s in enumerate_equal_partitions(inst))
 
 
 def test_reference_search_terminates_on_floats():
