@@ -26,7 +26,7 @@ from .core import (  # BenchInvariantError is core's, re-exported here
     Instance,
     InternalConsistencyError,
     Mode,
-    SUM_GUARD,
+    OverflowGuardError,
     SolverConfig,
     solve,
 )
@@ -86,11 +86,12 @@ def generate(spec: GeneratorSpec) -> Instance:
     import random
 
     if spec.family == "geometric":
-        # scale * ratio^k; floats unless integral and small
-        vals = [spec.p2 * spec.p1**k for k in range(spec.n)]
-        if all(isinstance(v, int) for v in vals) and sum(abs(v) for v in vals) < SUM_GUARD:
-            return Instance(tuple(vals), Mode.EXACT_INT)
-        return Instance(tuple(float(v) for v in vals), Mode.FLOAT64)
+        # scale * ratio^k; floats unless Instance takes the terms as ints
+        vals = tuple(spec.p2 * spec.p1**k for k in range(spec.n))
+        try:
+            return Instance(vals, Mode.EXACT_INT)
+        except OverflowGuardError:
+            return Instance(vals, Mode.FLOAT64)
     # every other family draws from one range: integers when both ends are ints
     if spec.family == "uniform_int":
         lo, hi = int(spec.p1), int(spec.p2)

@@ -53,9 +53,10 @@ def parse_input(data: bytes, mode: Mode | None = None) -> Instance:
 
     Tokenizes and converts in bulk passes (str.split and the regex \\s agree
     on whitespace); only a failed check runs the line scan that locates it.
+    A UTF-8 byte-order mark at the start is dropped.
     """
     try:
-        text = data.decode("utf-8")
+        text = data.decode("utf-8-sig")
     except UnicodeDecodeError as exc:
         raise InputFormatError(f"input is not valid UTF-8: {exc}") from exc
     body = text if "#" not in text else "\n".join(
@@ -67,18 +68,20 @@ def parse_input(data: bytes, mode: Mode | None = None) -> Instance:
     all_int = all(map(str.isdecimal, tokens)) or all(map(_INT_TOKEN.fullmatch, tokens))
     if mode is None:
         mode = Mode.EXACT_INT if all_int else Mode.FLOAT64
+    refusal = None
     if all_int or mode is Mode.FLOAT64 and all(map(_FLOAT_TOKEN.fullmatch, tokens)):
         convert = int if mode is Mode.EXACT_INT else float
-        try:  # Instance checks the 2^62 guard and finiteness in bulk
+        try:  # Instance decides which numbers are accepted, in bulk
             return Instance(tuple(map(convert, tokens)), mode)
-        except (OverflowGuardError, ValueError):
-            pass  # int()'s digit limit, the guard, or a non-finite float
-    raise _first_bad_token(text, mode)
+        except (OverflowGuardError, ValueError) as exc:
+            refusal = exc  # int()'s digit limit, a guard, or a non-finite float
+    # a sum past a guard is no one token's fault: Instance's own error stands
+    raise _first_bad_token(text, mode) or refusal
 
 
-def _first_bad_token(text: str, mode: Mode) -> InputFormatError:
+def _first_bad_token(text: str, mode: Mode) -> InputFormatError | None:
     """The positioned error for the first token, in input order, that the
-    mode rejects."""
+    mode rejects, or None when every token passes on its own."""
     exact = mode is Mode.EXACT_INT
     pattern, kind = (_INT_TOKEN, "an integer") if exact else (_FLOAT_TOKEN, "a number")
     for ln, line in enumerate(text.splitlines(), start=1):
@@ -101,7 +104,7 @@ def _first_bad_token(text: str, mode: Mode) -> InputFormatError:
                                             "characters is too long")
             if not exact and not math.isfinite(float(tok)):
                 return InputFormatError(f"{where}: {excerpt(tok)} is not finite")
-    raise InternalConsistencyError("the bulk parse refused input the line scan accepts")
+    return None
 
 
 def _read_instance(args) -> Instance:

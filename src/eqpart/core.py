@@ -10,8 +10,9 @@ whose swap most shrinks the difference.  A sign flip of S1 - S2 restarts the
 sweep; a completed sweep (or an exact zero) terminates.
 
 One numeric path: the descent runs on exact Python ints, the input's own
-(guarded below 2^62) or, for floats, the input times one power of two
-(scaled_ints), which solve reports; only the objective is in input units.
+or, for floats, the input times one power of two (scaled_ints), which solve
+reports; only the objective is in input units.  Instance alone decides which
+inputs are accepted (SUM_GUARD for ints, a finite 4 * sum for floats).
 """
 
 from __future__ import annotations
@@ -26,8 +27,8 @@ import time
 from dataclasses import dataclass
 from typing import ClassVar, Optional
 
-# Exact-integer guard: every |x| and sum(|x|) must stay below this so that
-# d - 2a + 2b arithmetic stays inside machine-integer range everywhere.
+# The documented input limit for ints: sum(|x|) must stay below this.  The
+# descent itself runs on unbounded Python ints; only Instance checks it.
 SUM_GUARD = 1 << 62
 
 
@@ -99,7 +100,10 @@ class BenchInvariantError(PartitionError):
 
 @dataclass(frozen=True)
 class Instance:
-    """Input multiset with original positions preserved."""
+    """Input multiset with original positions preserved, and the one check of
+    which numbers are accepted: ints (not bools) with sum(|x|) < SUM_GUARD,
+    or values float() makes finite, with 4 * sum(|x|) finite so every d in
+    input units is.  The error names the first bad value, else the sum."""
 
     values: tuple
     mode: Mode
@@ -108,9 +112,7 @@ class Instance:
         # Bulk checks first; the loops only run to name the first bad value.
         values = self.values
         if self.mode is Mode.EXACT_INT:
-            if set(map(type, values)) <= {int} and (
-                not values or -SUM_GUARD < min(values) <= max(values) < SUM_GUARD
-            ):
+            if set(map(type, values)) <= {int} and sum(map(abs, values)) < SUM_GUARD:
                 return
             for x in values:
                 if not isinstance(x, int) or isinstance(x, bool):
@@ -119,13 +121,16 @@ class Instance:
                     )
                 if abs(x) >= SUM_GUARD:
                     raise OverflowGuardError(f"|{excerpt(x)}| exceeds the 2^62 guard")
+            total = sum(map(abs, values))
+            if total >= SUM_GUARD:
+                raise OverflowGuardError(f"sum of |values| = {total} exceeds the 2^62 guard")
         else:
             try:
                 floats = tuple(map(float, values))
-                finite = all(map(math.isfinite, floats))
+                total = sum(map(abs, floats))  # not finite if any value is not
             except (TypeError, ValueError, OverflowError):
-                finite = False
-            if not finite:
+                total = math.inf  # the loop names the value float() refuses
+            if not math.isfinite(4 * total):
                 for x in values:
                     try:
                         x_float = float(x)
@@ -133,6 +138,9 @@ class Instance:
                         raise ValueError(f"{excerpt(x)} is not a float") from exc
                     if not math.isfinite(x_float):
                         raise ValueError(f"non-finite value {excerpt(x)}")
+                raise OverflowGuardError(
+                    f"sum of |values| = {total} is too large for float mode (4 * sum must be finite)"
+                )
             object.__setattr__(self, "values", floats)
 
     @staticmethod
@@ -237,7 +245,7 @@ class SolveReport:
     """Final partition plus instrumentation.  partition is the descent's own
     exact state, as is the trace's d; objective is |d| / scale rounded once
     for float input, |d| for ints.  Input-unit values are
-    sorted_instance.sorted_values.  maintained_drift is always 0."""
+    sorted_instance.sorted_values."""
 
     partition: PartitionState
     objective: float | int
@@ -246,7 +254,6 @@ class SolveReport:
     original_set2: tuple
     sorted_instance: SortedInstance
     trace: tuple = ()
-    maintained_drift: float = 0.0
 
 
 def scaled_ints(values) -> tuple:
@@ -273,17 +280,11 @@ def _side_diff(values, in_set1):
 
 
 def normalize_and_sort(instance: Instance) -> SortedInstance:
-    """Ascending stable sort; ties keep ascending original index."""
+    """Ascending stable sort; ties keep ascending original index.  The
+    values are as Instance accepted them: no range check here."""
     values = instance.values
     if len(values) == 0:
         raise InvalidCardinalityError("instance is empty")
-    total = sum(map(abs, values))
-    if instance.mode is Mode.EXACT_INT and total >= SUM_GUARD:
-        raise OverflowGuardError(f"sum of |values| = {total} exceeds the 2^62 guard")
-    if not math.isfinite(4 * total):  # every d rounds back to a finite float
-        raise OverflowGuardError(
-            f"sum of |values| = {total} is too large for float mode (4 * sum must be finite)"
-        )
     order = sorted(range(len(values)), key=values.__getitem__)
     return SortedInstance(
         # one C-level gather; itemgetter returns a bare value for one index

@@ -103,7 +103,7 @@ def _echo(tok):
 def reference_parse_input(data: bytes, mode: Mode | None = None) -> Instance:
     """The per-line tokenizer parse_input replaced, kept as the reference."""
     try:
-        text = data.decode("utf-8")
+        text = data.decode("utf-8-sig")
     except UnicodeDecodeError as exc:
         raise InputFormatError(f"input is not valid UTF-8: {exc}") from exc
     tokens = []
@@ -164,10 +164,12 @@ _PARSE_PIECES = st.sampled_from([
     " ", "  ", "\t", ",", ", ", "\n", "\r\n", "\x0b", "\x1c", "\x85", "\u2028", "\xa0",
     "\n# a comment, 1.5 x\n", "\n   # indented comment\n", "#", " #7 ",
 ])
-_BAD_UTF8 = st.sampled_from([b"", b"", b"", b"\xff", b"\xc3", b"\xe2\x80", b"\x80"])
+# invalid UTF-8, and a byte-order mark: dropped at the start, a bad token after
+_SPLICED_BYTES = st.sampled_from([b"", b"", b"", b"\xff", b"\xc3", b"\xe2\x80", b"\x80",
+                                  b"\xef\xbb\xbf"])
 
 
-@given(st.lists(_PARSE_PIECES, max_size=14), _BAD_UTF8, st.integers(0, 14),
+@given(st.lists(_PARSE_PIECES, max_size=14), _SPLICED_BYTES, st.integers(0, 14),
        st.sampled_from([None, Mode.EXACT_INT, Mode.FLOAT64]))
 @settings(max_examples=400, deadline=None)
 def test_parse_matches_line_scan_reference(pieces, bad, at, mode):
@@ -260,15 +262,25 @@ def test_verify_is_exact_past_2_53(capsys, monkeypatch):
     assert "exact_min: 1152921504606846933 (globally optimal)" in out
 
 
+_TOP = str(SUM_GUARD - 1)
+
+
 @pytest.mark.parametrize(
     "argv, stdin_text, message",
     [(["solve"], "1e308 1e308 1e308 1e308",
       "error: sum of |values| = inf is too large for float mode (4 * sum must be finite)"),
      (["bench", "--family", "geometric", "--p1", "1e6", "--sizes", "16,32,64,128"], None,
-      "error: largest geometric term 1e+06 * 1e+06^63 is not a finite float")],
+      "error: largest geometric term 1e+06 * 1e+06^63 is not a finite float"),
+     *[([cmd], f"{_TOP} {_TOP}",
+        "error: sum of |values| = 9223372036854775806 exceeds the 2^62 guard")
+       for cmd in ("solve", "verify", "solve-traditional")],
+     # the guard is named before the odd N the oracle would refuse
+     (["oracle"], f"{_TOP} {_TOP} 1",
+      "error: sum of |values| = 9223372036854775807 exceeds the 2^62 guard")],
 )
 def test_float_range_exit_2(capsys, monkeypatch, argv, stdin_text, message):
-    # both ended in an OverflowError traceback
+    # the float cases ended in an OverflowError traceback; a sum past a guard
+    # is no one token's fault, so it is Instance's own message, not a position
     code, out, err = run_cli(capsys, argv, stdin_text, monkeypatch)
     assert code == 2
     assert out == "" and err == message + "\n"
@@ -284,6 +296,10 @@ def test_solve_malformed_exit_1(capsys, monkeypatch):
     code, _, err = run_cli(capsys, ["solve", "--mode", "int"], "1.5 2", monkeypatch)
     assert code == 1
     assert "line 1" in err
+    # a byte-order mark is dropped only at the start of the input
+    code, out, err = run_cli(capsys, ["solve"], "1 \ufeff2 3 8", monkeypatch)
+    assert (code, out) == (1, "")
+    assert err == "error: line 1, column 3: '\\ufeff2' is not a number\n"
 
 
 def test_solve_traditional(capsys, monkeypatch):
@@ -448,6 +464,11 @@ def test_solve_input_file_matches_stdin(capsys, monkeypatch, tmp_path, fmt):
     from_stdin = run_cli(capsys, argv, EXACT_INT, monkeypatch)
     assert from_file[0] == 0 and from_file[2] == ""
     assert _mask_wall_time(from_file[1]) == _mask_wall_time(from_stdin[1])
+    # a leading UTF-8 byte-order mark, as some editors write, changes nothing
+    path.write_bytes(b"\xef\xbb\xbf" + EXACT_INT.encode())
+    with_bom = run_cli(capsys, [*argv, "--input", str(path)])
+    assert (with_bom[0], with_bom[2]) == (0, "")
+    assert _mask_wall_time(with_bom[1]) == _mask_wall_time(from_stdin[1])
 
 
 def test_missing_input_file_exit_1_names_the_path_once(capsys, tmp_path):

@@ -79,7 +79,18 @@ class _Small(enum.IntEnum):
 def test_instance_int_validation_names_first_bad_value():
     assert Instance((1, _Small.TWO), Mode.EXACT_INT).values == (1, _Small.TWO)
     top = SUM_GUARD - 1
-    assert Instance((top, -top), Mode.EXACT_INT).values == (top, -top)
+    assert Instance((top, 0), Mode.EXACT_INT).values == (top, 0)
+    assert Instance((-top,), Mode.EXACT_INT).values == (-top,)
+    # every value passes on its own, their sum does not; a bad value still
+    # comes first
+    with pytest.raises(OverflowGuardError,
+                       match=rf"^sum of \|values\| = {2 * top} exceeds the 2\^62 guard$"):
+        Instance((top, -top), Mode.EXACT_INT)
+    with pytest.raises(OverflowGuardError,
+                       match=rf"^sum of \|values\| = {top + 3} exceeds the 2\^62 guard$"):
+        Instance((top, _Small.TWO, 1), Mode.EXACT_INT)
+    with pytest.raises(OverflowGuardError, match="got True"):
+        Instance((top, top, True), Mode.EXACT_INT)
     with pytest.raises(OverflowGuardError, match="got True"):
         Instance((1, True), Mode.EXACT_INT)
     with pytest.raises(OverflowGuardError, match="got True"):
@@ -132,20 +143,25 @@ def test_empty_instance_constructs():
 
 
 def test_sum_overflow_guard():
+    # Instance refuses the sum itself; nothing downstream checks it again
     n = 8
     big = (1 << 61) - 1
-    with pytest.raises(OverflowGuardError):
-        normalize_and_sort(Instance((big,) * n, Mode.EXACT_INT))
+    with pytest.raises(OverflowGuardError, match=f"^sum of \\|values\\| = {n * big} exceeds"):
+        Instance((big,) * n, Mode.EXACT_INT)
+    assert len(Instance((big, -big - 1), Mode.EXACT_INT)) == 2
 
 
 def test_float_range_guard():
     # 4 * sum(|x|) must stay finite: it keeps every d in input units finite
     top = 1.7976931348623157e308 / 4
-    normalize_and_sort(Instance((top / 2, -top / 2), Mode.FLOAT64))
+    assert len(Instance((top / 2, -top / 2), Mode.FLOAT64)) == 2
     with pytest.raises(OverflowGuardError, match="too large for float mode"):
-        normalize_and_sort(Instance((top, -top), Mode.FLOAT64))
-    with pytest.raises(OverflowGuardError):
-        solve(Instance((1e308,) * 4, Mode.FLOAT64))
+        Instance((top, -top), Mode.FLOAT64)
+    with pytest.raises(OverflowGuardError, match=r"^sum of \|values\| = inf is too large"):
+        Instance((1e308,) * 4, Mode.FLOAT64)
+    # a non-finite value is named before the sum
+    with pytest.raises(ValueError, match="^non-finite value inf$"):
+        Instance((1e308, 1e308, math.inf), Mode.FLOAT64)
 
 
 # ------------------------------------------------------------------- sorting
@@ -701,7 +717,7 @@ def _solve_outcome(values, cfg, card1):
         r = solve(Instance.from_values(values), cfg, card1)
     except InternalConsistencyError as exc:
         return str(exc)
-    return (r.partition.in_set1, repr(r.partition.d), repr(r.trace), repr(r.maintained_drift),
+    return (r.partition.in_set1, repr(r.partition.d), repr(r.trace),
             dataclasses.replace(r.metrics, wall_time_ns=0))
 
 
@@ -817,7 +833,6 @@ def test_float_input_gets_the_integer_guarantees(values, cfg, kind, data):
     assert report.metrics.traverses <= len(report.partition.values) + 2
     assert is_locally_optimal_pairswap(report.partition)
     assert report.objective == _exact_objective(inst.values, set1, set2)
-    assert report.maintained_drift == 0.0
     _assert_exact_float_report(report)  # the report is the descent's exact state
 
 
