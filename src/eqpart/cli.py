@@ -126,9 +126,10 @@ def _config_from_args(args) -> SolverConfig:
 
 def _cmd_solve(args) -> int:
     """solve, verify and solve-traditional: read, solve, check, print; the
-    exit code is 3 when verification failed."""
-    instance = _read_instance(args)
+    exit code is 3 when verification failed.  The flags are checked before
+    the input is read."""
     cfg = _config_from_args(args)
+    instance = _read_instance(args)
     traditional = args.command == "solve-traditional"
     if traditional:
         from .reductions import solve_traditional

@@ -427,9 +427,31 @@ def run_traverse(
     either: the run's top partner gives e' = e - 2*gap <= -e, and every
     lower one less, so the scan would visit the whole run and keep no
     partner.  Such a cursor becomes the floor in O(1) and counts the run's
-    n - floor - 1 evaluations.  Each cursor counts what a visit would
-    count, so the 2N argument is unchanged.  The sweep reads nothing from
-    cfg.
+    n - floor - 1 evaluations.
+
+    Equal values cost one step per group, not one per cursor (the dummy
+    zeros of the free-cardinality reduction are one group).  Once a scanned
+    larger-side cursor n of value v keeps no partner, it is the floor, and
+    every later larger-side cursor of v's group in this sweep has a window
+    of v-valued elements only: the cells between it and the cursor before
+    it, and the tie group of the floor's value v.  A v-valued partner gives
+    e' = e, no gain, and nothing changes until the group ends, so none of
+    them swaps: the sweep jumps to the group's last larger-side cursor,
+    last, and counts in bulk what the visits would count.  Let first be
+    the group's first opposing member at or above the tie pointer (every
+    group cell below the pointer is on the larger side), and prev the
+    larger-side cursor before last (n when there is none between).  A
+    visit's scan stops at its first element (e' = e >= 0), so a cursor
+    costs one evaluation when its window holds an element and none when it
+    does not.  Its window is empty exactly when it sits right above the
+    cursor before it and no opposing member lies below that one in the
+    group, so the cursors between n and first cost nothing, and every other
+    cell in (n, last], a smaller-side skip or a cursor, costs one.  The
+    visits walk the tie pointer up to min(first, prev), one evaluation a
+    step, since each walks to first or to its floor, the cursor before it.
+    The jump leaves floor, tie and tie_value where the visits would, so
+    each jumped cursor counts exactly what its visit would, and the 2N
+    argument is unchanged.  The sweep reads nothing from cfg.
     """
     metrics.traverses += 1
     values, in_set1, d = state.values, state.in_set1, state.d
@@ -441,6 +463,7 @@ def run_traverse(
     floor = n = -1  # n: the last larger-side cursor visited
     tie_value = tie = None
     find = in_set1.index
+    top = len(values) - 1
     while True:
         after = n + 1
         try:
@@ -475,6 +498,24 @@ def run_traverse(
                 break
         if partner is None:
             floor = n
+            if n < top and values[n + 1] == values[n]:
+                # jump to the group's last larger-side cursor (see docstring)
+                v = values[n]
+                end = bisect.bisect_right(values, v, n + 1)
+                k = in_set1[n + 1:end].count(larger)
+                if k:
+                    last = end - 1 - in_set1[end - 1:n:-1].index(larger)
+                    prev = n if k == 1 else last - 1 - in_set1[last - 1:n:-1].index(larger)
+                    if tie_value != v:
+                        tie_value, tie = v, bisect.bisect_left(values, v, 0, n)
+                    try:  # the group's first opposing member
+                        first = in_set1.index(not larger, tie, last)
+                    except ValueError:
+                        first = last + 1
+                    walked = min(first, prev)
+                    evals += last + 1 - max(first, n + 1) + walked - tie
+                    tie = walked
+                    floor = n = last
             continue
         if partner > floor:
             floor = partner

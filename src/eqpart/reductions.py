@@ -9,6 +9,7 @@ by value, so genuine zero inputs survive the strip.
 
 from __future__ import annotations
 
+import bisect
 from dataclasses import dataclass
 
 from .core import Instance, InvalidCardinalityError, SolveReport, SolverConfig, solve
@@ -46,13 +47,15 @@ def solve_traditional(
     """Solve the free-cardinality problem via the dummy-zero reduction.
 
     Dummies occupy extended original indices N..2N-1, so stripping keeps
-    exactly the original indices; zeros that were genuine inputs stay.
+    exactly the original indices; zeros that were genuine inputs stay.  The
+    report's index tuples ascend, so each side's originals are a prefix.
     """
     n = len(instance)
     extended = to_equal_cardinality(instance)
     report = solve(extended, cfg)
-    part1 = tuple(i for i in report.original_set1 if i < n)
-    part2 = tuple(i for i in report.original_set2 if i < n)
+    set1, set2 = report.original_set1, report.original_set2
+    part1 = set1[:bisect.bisect_left(set1, n)]
+    part2 = set2[:bisect.bisect_left(set2, n)]
     return TraditionalResult(
         part1=part1,
         part2=part2,

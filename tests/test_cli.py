@@ -580,6 +580,15 @@ def test_random_init_needs_seed(capsys, monkeypatch):
     assert "seed" in err
 
 
+@pytest.mark.parametrize("command", ["solve", "verify", "solve-traditional"])
+@pytest.mark.parametrize("stdin_text", ["4611686018427387903 4611686018427387903", "1 x"])
+def test_flags_are_checked_before_the_input_is_read(capsys, monkeypatch, command, stdin_text):
+    # the missing seed is named before the input is read, so also on input
+    # that breaks a sum guard or does not parse
+    code, out, err = run_cli(capsys, [command, "--init", "random"], stdin_text, monkeypatch)
+    assert (code, out, err) == (2, "", "error: RANDOM initialization requires a seed\n")
+
+
 def test_bench_csv_output(capsys):
     code, out, _ = run_cli(
         capsys, ["bench", "--sizes", "16,32,64,128", "--reps", "2", "--seed", "3"]

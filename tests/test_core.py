@@ -522,6 +522,74 @@ def test_run_traverse_tie_pointer_resets_in_a_new_group():
     assert state.in_set1 == [False, True, False, False, True, True, False]
 
 
+def test_sweep_jumps_a_padded_zero_block():
+    # the alternating start of solve_traditional on 4..9: six dummy zeros,
+    # side 1 = {1, 3, 5, 7, 9, 11}, d = 21 - 18 = 3.  Cursor 1 scores the
+    # opposing zero at index 0 (d' = 3, no gain) and becomes the floor, so
+    # cursors 3 and 5, whose windows hold only zeros, cannot swap: the sweep
+    # jumps to cursor 5, counting skips 2 and 4 and one evaluation per
+    # cursor (its window holds the opposing zero at index 0).  Cursor 7
+    # then scans that zero and the run above the floor at 5, index 6.
+    outcome, events, metrics, state = _sweep([0] * 6 + [4, 5, 6, 7, 8, 9], {1, 3, 5, 7, 9, 11})
+    assert outcome is TraverseOutcome.COMPLETED
+    assert events == [(7, 6, 3, 1, TraverseOutcome.COMPLETED)]
+    # skip 0 + cursor 1 (1) + jump (2 skips + 2 cursors) + skip 6 + cursor 7
+    # (2) + skip 8 + cursor 9 (gap reject, 2) + skip 10 + cursor 11 (1)
+    assert metrics.candidate_evaluations == metrics.max_traverse_evaluations == 14
+    assert state.d == 1
+
+
+def test_sweep_jumps_a_group_whose_opposing_members_come_first():
+    # d = 32 - 29 = 3, side 1 = {3, 4, 6, 8}; the 6s at 1..6 have their
+    # opposing members 1 and 2 first.  Cursor 3 scans indices 0 and 1 and
+    # keeps no partner; the jump to cursor 6 counts cursor 4 (the tie at
+    # index 1), skip 5 and cursor 6 (the tie) at one each.  Cursor 8 scans
+    # the tie at 1 and the run above the floor at 6, index 7.
+    outcome, events, metrics, state = _sweep([1, 6, 6, 6, 6, 6, 6, 10, 14], {3, 4, 6, 8})
+    assert outcome is TraverseOutcome.COMPLETED and events == []
+    # 3 skips + cursor 3 (2) + jump (3) + skip 7 + cursor 8 (2)
+    assert metrics.candidate_evaluations == metrics.max_traverse_evaluations == 11
+    assert state.d == 3
+
+
+def test_sweep_jumps_a_group_split_by_the_floor():
+    # d = 4, side 1 = {1, 2, 4, 5, 7, 9}: the 9s at 1..7.  Cursor 1's gap
+    # to index 0 reaches e, and cursor 2 sits right above it: the floor is
+    # inside the group before any scan.  Cursor 4 walks the tie pointer from
+    # 1 to 2, scans index 3 and keeps no partner; the jump to cursor 7 keeps
+    # the pointer where cursor 4 left it and counts its walk to the opposing
+    # 9 at index 3 (1), cursor 5 (1), skip 6 and cursor 7 (1).  Cursor 9
+    # takes that tie: d' = 4 - 22 + 18 = 0.
+    outcome, events, metrics, state = _sweep(
+        [2, 9, 9, 9, 9, 9, 9, 9, 10, 11, 22], {1, 2, 4, 5, 7, 9})
+    assert outcome is TraverseOutcome.ZERO_REACHED
+    assert events == [(9, 3, 4, 0, TraverseOutcome.ZERO_REACHED)]
+    # skip 0 + cursor 1 (1) + cursor 2 (0) + skip 3 + cursor 4 (2) + jump (4)
+    # + skip 8 + cursor 9 (1)
+    assert metrics.candidate_evaluations == metrics.max_traverse_evaluations == 11
+
+
+def test_sweep_jump_counts_nothing_for_cursors_right_above_each_other():
+    # d = 4, side 1 = {1, 2, 3, 4, 6, 8}.  Cursor 2, the first 8, scores the
+    # tie at index 0 (d' = -6) and becomes the floor; the 8s have no
+    # opposing member below cursor 2.  So cursor 3 sits right above the
+    # floor with an empty window (0), cursor 4's window is empty once the
+    # pointer walks 2 -> 3 (1), and cursor 6 counts skip 5, a walk to 4 and
+    # index 5 (3).  Cursor 8 walks to the opposing 8 at 5 and takes it.
+    outcome, events, metrics, state = _sweep([3, 3, 8, 8, 8, 8, 8, 9, 10, 21], {1, 2, 3, 4, 6, 8})
+    assert outcome is TraverseOutcome.ZERO_REACHED
+    assert events == [(8, 5, 4, 0, TraverseOutcome.ZERO_REACHED)]
+    # skip 0 + cursor 1 (1) + cursor 2 (1) + jump (4) + skip 7 + cursor 8 (2)
+    assert metrics.candidate_evaluations == metrics.max_traverse_evaluations == 10
+
+    # the same group as the sweep's last: no later cursor walks the pointer,
+    # so the jump alone counts its walk up to cursor 4
+    outcome, events, metrics, state = _sweep([3, 3, 8, 8, 8, 8, 8, 20], {1, 2, 3, 4, 6})
+    assert outcome is TraverseOutcome.COMPLETED and events == [] and state.d == 4
+    # skip 0 + cursor 1 (1) + cursor 2 (1) + jump (4) + skip 7
+    assert metrics.candidate_evaluations == metrics.max_traverse_evaluations == 8
+
+
 def test_sweep_swap_keeping_the_sign_goes_on():
     # a swap that keeps d's sign lets the sweep go on; exact mode keeps d
     # bit for bit
@@ -747,6 +815,12 @@ def _block_membership(data, n):
         st.lists(st.integers(1, 10**6), min_size=2, max_size=200),
         st.lists(st.integers(0, 9), min_size=2, max_size=200),
         st.lists(st.integers(1, 10**9), min_size=2, max_size=400),  # wide gaps
+        # the equal-value group jump: a zero block as solve_traditional pads
+        # it, and long runs of equal values
+        st.tuples(st.integers(1, 200), st.lists(st.integers(1, 10**6), min_size=1, max_size=200))
+        .map(lambda p: [0] * p[0] + p[1]),
+        st.lists(st.tuples(st.integers(-3, 20), st.integers(50, 200)), min_size=1, max_size=4)
+        .map(lambda runs: [v for v, k in runs for _ in range(k)]),
     ),
     st.sampled_from(ALL_STRATEGIES + [None]),  # None: a block-structured start
     st.booleans(),
@@ -782,6 +856,24 @@ def test_sweep_matches_reference_at_4096(cfg):
         expected = _solve_outcome(values, cfg, None)
     assert _solve_outcome(values, cfg, None) == expected
     assert expected[-1].swaps > 0
+
+
+@pytest.mark.parametrize("cfg", ALL_STRATEGIES, ids=lambda c: c.init_strategy.value)
+def test_traditional_sweep_matches_reference_at_4096(cfg):
+    # 4096 dummy zeros: the sweep jumps the zero group's cursors
+    rng = random.Random(4096)
+    instance = Instance.from_values([rng.randint(1, 10**9) for _ in range(4096)])
+    cfg = dataclasses.replace(cfg, collect_trace=True)
+
+    def outcome():
+        r = solve_traditional(instance, cfg)
+        rep = r.extended_report
+        return (r.part1, r.part2, rep.partition.in_set1, rep.partition.d, rep.trace,
+                dataclasses.replace(rep.metrics, wall_time_ns=0))
+
+    with mock.patch.object(core, "run_traverse", reference_sweep):
+        expected = outcome()
+    assert outcome() == expected
 
 
 def _exact_objective(values, set1, set2):

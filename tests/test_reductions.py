@@ -63,6 +63,16 @@ def test_solve_traditional_keeps_genuine_zeros():
     assert res.objective == 5
 
 
+@given(st.lists(st.integers(0, 4), min_size=1, max_size=30), st.sampled_from(ALL_STRATEGIES))
+@settings(max_examples=200, deadline=None)
+def test_solve_traditional_strips_exactly_the_dummies(values, cfg):
+    # genuine zeros tie with the dummies; only the indices N..2N-1 go
+    res = solve_traditional(Instance.from_values(values), cfg)
+    n, report = len(values), res.extended_report
+    assert res.part1 == tuple(i for i in report.original_set1 if i < n)
+    assert res.part2 == tuple(i for i in report.original_set2 if i < n)
+
+
 def _traditional_result(values, part1):
     """A TraditionalResult with side 1 = the part1 indices of values."""
     part2 = tuple(i for i in range(len(values)) if i not in part1)
