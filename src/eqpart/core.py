@@ -593,28 +593,60 @@ def solve(
 def is_locally_optimal_pairswap(state: PartitionState, tolerance: float = 0.0) -> bool:
     """True iff no cross-side swap drops |d| below |d| - tolerance (in input
     units), decided exactly: a FLOAT64 state on the ints of scaled_ints.
-    For ints, |d'| < |d| - T iff |d'| < |d| - floor(T), T = tolerance * scale.
+    For ints, |d'| < |d| - T iff |d'| < |d| - floor(T), T = tolerance * scale;
+    a threshold |d| - floor(T) <= 0, as at every d = 0, is True at once.
 
-    One merge over the two sides' value lists, each sorted (already sorted
-    for solver states, which timsort sees in one pass).  For a side-1 value
-    x_a, the post-swap difference with a side-2 value x_b is c + 2*x_b,
-    c = d - 2*x_a computed once per x_a, monotone nondecreasing in x_b.  So
-    over side 2 in ascending order |d'| falls until d' crosses zero and
-    rises after it, and only the two partners around the crossing (the
-    last with d' < 0 and the first with d' >= 0) can be x_a's best swap.
-    As x_a grows, c can only shrink, so every d' can only shrink and the
-    crossing only moves right: one pointer over side 2 serves all of side 1.
-    oracle.pairswap_witness is the all-pairs reference this must agree with,
-    and names a violating pair.
+    At floor(T) = 0 (tolerance 0), values in ascending order (every solver
+    state) take one pass.  With L the larger-sum side and S the other, a
+    swap improves iff 0 < x_L - x_S < |d|, and the smallest such gap lies
+    between two adjacent distinct values v < w, v's group holding an S
+    member and w's an L member: going up from x_S, the first group with an
+    L member sits right above one with an S member.  So the pass fails at
+    the first L member whose previous value group holds an S member less
+    than |d| below it, a genuine improving pair: run_traverse's O(1) gap
+    reject, applied to every group at once.
+
+    A tolerance T > 0 improves on x_L - x_S in (T/2, |d| - T/2), which no
+    adjacent gap settles.  It, and values out of order (from_membership
+    states; the pass hands them over at the first value below its
+    predecessor), take one merge over the two sides' value lists, each
+    sorted.  For a side-1 value x_a, the post-swap difference with a side-2
+    value x_b is c + 2*x_b, c = d - 2*x_a computed once per x_a, monotone
+    nondecreasing in x_b.  So over side 2 in ascending order |d'| falls
+    until d' crosses zero and rises after it, and only the two partners
+    around the crossing (the last with d' < 0 and the first with d' >= 0)
+    can be x_a's best swap.  As x_a grows, c can only shrink, so every d'
+    can only shrink and the crossing only moves right: one pointer over
+    side 2 serves all of side 1.
+    oracle.pairswap_witness is the all-pairs reference both must agree
+    with, and names a violating pair.
     """
     values, d, scale = state.values, state.d, state.scale
     if state.mode is Mode.FLOAT64:
         values, scale = scaled_ints(values)
         d = _side_diff(values, state.in_set1)
+    num, den = tolerance.as_integer_ratio()
+    slack = num * scale // den
+    threshold = abs(d) - slack
+    if threshold <= 0:
+        return True
+    if not slack:
+        small = d > 0  # what `not in_set1[i]` is for a smaller-side i
+        group, has_small, close = values[0], False, False
+        for v, m in zip(values, state.in_set1):
+            if v != group:
+                if v < group:
+                    break  # not ascending: the merge below decides
+                close = has_small and v - group < threshold
+                group, has_small = v, False
+            if (not m) is small:
+                has_small = True
+            elif close:
+                return False
+        else:
+            return True
     side1 = sorted(itertools.compress(values, state.in_set1))
     side2 = sorted(itertools.compress(values, map(operator.not_, state.in_set1)))
-    num, den = tolerance.as_integer_ratio()
-    threshold = abs(d) - num * scale // den
     m = len(side2)
     p = 0
     for x_a in side1:

@@ -1089,6 +1089,80 @@ def test_zero_tolerance_verdicts_are_exact_past_2_53(state):
     assert is_locally_optimal_transfer(result) == transfer_optimal
 
 
+def _gap_pass_case(values, in_set1):
+    """(state, the same state in descending order, which takes the merge)."""
+    state = PartitionState.from_membership(values, in_set1, Mode.EXACT_INT)
+    return state, dataclasses.replace(state, values=values[::-1], in_set1=in_set1[::-1])
+
+
+@st.composite
+def _solver_shaped_states(draw):
+    """(state, shuffled copy) of sorted solver-shaped states: tie-heavy
+    alphabets, ints past 2^53, two-decimal floats, d = 0, pinned side-1
+    sizes, solved and random memberships."""
+    alphabet = draw(st.sampled_from([
+        st.integers(0, 3),
+        st.sampled_from([0, 5, 7, 9, 100]),
+        st.integers(-20, 20),
+        st.integers(1 << 53, (1 << 53) + 6) | st.integers(-3, 3),
+        st.sampled_from([0.1, 0.2, 0.25, 0.3, 7.0]),
+    ]))
+    values = sorted(draw(st.lists(alphabet, min_size=2, max_size=20)))
+    mode = Mode.FLOAT64 if isinstance(values[0], float) else Mode.EXACT_INT
+    how = draw(st.sampled_from(["random", "solved", "d = 0"]))
+    if how == "d = 0":  # every value twice, one copy on each side
+        values = sorted(values + values)
+        in_set1 = [i % 2 == 0 for i in range(len(values))]
+        state = PartitionState.from_membership(tuple(values), in_set1, mode)
+        assert state.d == 0
+    else:
+        n = len(values)
+        k = draw(st.integers(1, n - 1))
+        if how == "solved":
+            cfg = SolverConfig(init_strategy=draw(st.sampled_from(InitStrategy)), seed=3)
+            state = solve(Instance(tuple(values), mode), cfg, card1=k).partition
+        else:
+            set1 = set(draw(st.permutations(range(n)))[:k])
+            state = PartitionState.from_membership(
+                tuple(values), [i in set1 for i in range(n)], mode)
+    order = draw(st.permutations(range(len(values))))
+    shuffled = dataclasses.replace(state, values=tuple(state.values[i] for i in order),
+                                   in_set1=[state.in_set1[i] for i in order])
+    return state, shuffled
+
+
+@given(_solver_shaped_states())
+# the gap equals |d|: no improvement (a `<=` would reject it)
+@example(_gap_pass_case((0, 1), [False, True]))
+# the 1-group holds the smaller side's 1 before the larger side's: 2 <-> 1
+# improves although the 2's neighbour by position is on the larger side
+@example(_gap_pass_case((1, 1, 2), [False, True, True]))
+# the 2-group has no smaller-side member, so the 3 is not 1 above one; the
+# 0 is 3 below it, past |d| = 2
+@example(_gap_pass_case((0, 2, 3, 3), [False, True, False, True]))
+@example(_gap_pass_case((4, 4, 4, 4), [True, False, True, False]))  # d = 0
+@settings(max_examples=400, deadline=None)
+def test_tolerance_zero_gap_pass_matches_reference_and_merge(case):
+    # a sorted state takes the gap pass and its shuffled copy, almost always
+    # out of order, the merge: both must give the all-pairs verdict
+    state, shuffled = case
+    verdict = is_locally_optimal_pairswap(state)
+    assert verdict == (pairswap_witness(state) is None)
+    assert verdict == is_locally_optimal_pairswap(shuffled)
+
+
+class _Unread(list):
+    def __iter__(self):
+        raise AssertionError("the membership was read")
+
+
+def test_zero_difference_is_optimal_without_a_pass():
+    assert is_locally_optimal_pairswap(PartitionState.from_membership((), [], Mode.EXACT_INT))
+    state = PartitionState((1, 2, 3, 4), _Unread([True, False, False, True]), 0, Mode.EXACT_INT)
+    assert is_locally_optimal_pairswap(state) is True
+    assert is_locally_optimal_pairswap(state, 0.25) is True
+
+
 # -------------------------------------------------------------- recompute_sums
 
 
