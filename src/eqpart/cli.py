@@ -198,14 +198,13 @@ def _cmd_oracle(args) -> int:
 
 def _cmd_bench(args) -> int:
     from . import bench as bench_mod
-    sizes = [int(s) for s in args.sizes.split(",") if s]
     family = args.family.replace("-", "_")
     # argparse delivers p1/p2 as floats; integral ones mean integer families
     p1, p2 = (default if p is None else int(p) if p.is_integer() else p
               for p, default in zip((args.p1, args.p2), bench_mod.FAMILIES[family]))
     specs = [
         bench_mod.GeneratorSpec(family=family, n=n, seed=args.seed, p1=p1, p2=p2)
-        for n in sizes
+        for n in args.sizes
     ]
     cfg = _config_from_args(args)
     report = bench_mod.run_suite(specs, cfg, repetitions=args.reps)
@@ -221,6 +220,17 @@ def _cmd_bench(args) -> int:
     else:
         sys.stdout.write(data.decode())
     return 0
+
+
+def _sizes(text: str) -> list:
+    """--sizes: comma-separated ints, empty items skipped."""
+    sizes = []
+    for tok in filter(None, text.split(",")):
+        try:
+            sizes.append(int(tok))
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"invalid int value: {excerpt(tok)}") from None
+    return sizes
 
 
 def _add_common(p: argparse.ArgumentParser, cardinality: bool = False) -> None:
@@ -270,7 +280,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_bench.add_argument("--family",
                          choices=["uniform-int", "uniform-float", "near-equal", "geometric"],
                          default="uniform-int")
-    p_bench.add_argument("--sizes", default="256,512,1024,2048",
+    p_bench.add_argument("--sizes", type=_sizes, default="256,512,1024,2048",
                          help="comma-separated instance sizes")
     p_bench.add_argument("--reps", type=int, default=5, help="seeds per size")
     p_bench.add_argument("--seed", type=int, default=1, help="base seed")

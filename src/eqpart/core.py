@@ -554,9 +554,9 @@ def solve(
     """Find a pair-swap locally optimal partition.
 
     Repeats sweeps until one completes without a sign flip (or the
-    difference hits zero).  The sweep count is hard-capped by the
-    nontermination guard; exceeding it raises InternalConsistencyError
-    because the termination argument bounds sweeps well below the guard.
+    difference hits zero).  The nontermination guard enforces N+2 sweeps,
+    raising InternalConsistencyError past it; no proof of that bound is
+    known, and the most measured is 9 sweeps at N = 32 (by hill-climbing).
     """
     t0 = time.perf_counter_ns()
     si = normalize_and_sort(instance)
@@ -590,71 +590,59 @@ def solve(
     )
 
 
+def _gap_pass(keys, in_set1, small, threshold):
+    """On keys in ascending order: False at the first larger-side member
+    whose previous key group holds a smaller-side member less than threshold
+    below it, else True; None at the first key below its predecessor."""
+    group, has_small, close = keys[0], False, False
+    for v, m in zip(keys, in_set1):
+        if v != group:
+            if v < group:
+                return None
+            close = has_small and v - group < threshold
+            group, has_small = v, False
+        if (not m) is small:
+            has_small = True
+        elif close:
+            return False
+    return True
+
+
 def is_locally_optimal_pairswap(state: PartitionState, tolerance: float = 0.0) -> bool:
     """True iff no cross-side swap drops |d| below |d| - tolerance (in input
     units), decided exactly: a FLOAT64 state on the ints of scaled_ints.
-    For ints, |d'| < |d| - T iff |d'| < |d| - floor(T), T = tolerance * scale;
-    a threshold |d| - floor(T) <= 0, as at every d = 0, is True at once.
+    For ints, |d'| < |d| - T iff |d'| < |d| - s, s = floor(T), T = tolerance
+    * scale; a threshold |d| - s <= 0, as at every d = 0, is True at once.
 
-    At floor(T) = 0 (tolerance 0), values in ascending order (every solver
-    state) take one pass.  With L the larger-sum side and S the other, a
-    swap improves iff 0 < x_L - x_S < |d|, and the smallest such gap lies
-    between two adjacent distinct values v < w, v's group holding an S
-    member and w's an L member: going up from x_S, the first group with an
-    L member sits right above one with an S member.  So the pass fails at
-    the first L member whose previous value group holds an S member less
-    than |d| below it, a genuine improving pair: run_traverse's O(1) gap
-    reject, applied to every group at once.
-
-    A tolerance T > 0 improves on x_L - x_S in (T/2, |d| - T/2), which no
-    adjacent gap settles.  It, and values out of order (from_membership
-    states; the pass hands them over at the first value below its
-    predecessor), take one merge over the two sides' value lists, each
-    sorted.  For a side-1 value x_a, the post-swap difference with a side-2
-    value x_b is c + 2*x_b, c = d - 2*x_a computed once per x_a, monotone
-    nondecreasing in x_b.  So over side 2 in ascending order |d'| falls
-    until d' crosses zero and rises after it, and only the two partners
-    around the crossing (the last with d' < 0 and the first with d' >= 0)
-    can be x_a's best swap.  As x_a grows, c can only shrink, so every d'
-    can only shrink and the crossing only moves right: one pointer over
-    side 2 serves all of side 1.
-    oracle.pairswap_witness is the all-pairs reference both must agree
-    with, and names a violating pair.
+    With L the larger-sum side and S the other, a swap improves iff
+    s < 2(x_L - x_S) < 2|d| - s.  At s = 0 that is 0 < x_L - x_S < |d|, and
+    the smallest such gap lies between two adjacent distinct values v < w,
+    v's group holding an S member and w's an L member: going up from x_S,
+    the first group with an L member sits right above one with an S member.
+    So _gap_pass fails at the first L member whose previous value group
+    holds an S member less than |d| below it, a genuine improving pair:
+    run_traverse's O(1) gap reject, applied to every group at once.  It
+    takes ascending values (every solver state) as they are.  Any other s,
+    or values out of order, take it on sorted keys 2x - s for L members and
+    2x for S members: k_L - k_S = 2(x_L - x_S) - s, so a swap improves iff
+    0 < k_L - k_S < 2(|d| - s), the s = 0 question.
+    oracle.pairswap_witness is the all-pairs reference, and names a
+    violating pair.
     """
-    values, d, scale = state.values, state.d, state.scale
+    values, in_set1, d, scale = state.values, state.in_set1, state.d, state.scale
     if state.mode is Mode.FLOAT64:
         values, scale = scaled_ints(values)
-        d = _side_diff(values, state.in_set1)
+        d = _side_diff(values, in_set1)
     num, den = tolerance.as_integer_ratio()
     slack = num * scale // den
     threshold = abs(d) - slack
     if threshold <= 0:
         return True
+    small = d > 0  # what `not in_set1[i]` is for a smaller-side i
     if not slack:
-        small = d > 0  # what `not in_set1[i]` is for a smaller-side i
-        group, has_small, close = values[0], False, False
-        for v, m in zip(values, state.in_set1):
-            if v != group:
-                if v < group:
-                    break  # not ascending: the merge below decides
-                close = has_small and v - group < threshold
-                group, has_small = v, False
-            if (not m) is small:
-                has_small = True
-            elif close:
-                return False
-        else:
-            return True
-    side1 = sorted(itertools.compress(values, state.in_set1))
-    side2 = sorted(itertools.compress(values, map(operator.not_, state.in_set1)))
-    m = len(side2)
-    p = 0
-    for x_a in side1:
-        c = d - 2 * x_a
-        while p < m and c + 2 * side2[p] < 0:
-            p += 1
-        if p and abs(c + 2 * side2[p - 1]) < threshold:
-            return False
-        if p < m and abs(c + 2 * side2[p]) < threshold:
-            return False
-    return True
+        verdict = _gap_pass(values, in_set1, small, threshold)
+        if verdict is not None:
+            return verdict
+    keys = [2 * x if (not m) is small else 2 * x - slack for x, m in zip(values, in_set1)]
+    order = sorted(range(len(keys)), key=keys.__getitem__)
+    return _gap_pass([keys[i] for i in order], [in_set1[i] for i in order], small, 2 * threshold)

@@ -340,7 +340,8 @@ def test_json_schema_and_round_trip(capsys, monkeypatch):
 
 
 def test_verify_is_linear_at_large_n(capsys, monkeypatch):
-    # 2^17 values: an all-pairs check would take about 20 minutes, the merge well under a second
+    # 2^17 values: an all-pairs check would take about 20 minutes, the gap pass well under
+    # a second
     rng = random.Random(17)
     values = [rng.randint(-10**9, 10**9) for _ in range(1 << 17)]
     code, out, _ = run_cli(
@@ -632,6 +633,20 @@ def test_bench_out_into_a_missing_directory_exit_1(capsys, tmp_path):
 def test_bench_zero_reps_exit_2(capsys):
     code, out, err = run_cli(capsys, ["bench", "--sizes", "16,32,64,128", "--reps", "0"])
     assert (code, out, err) == (2, "", "error: repetitions must be positive\n")
+
+
+@pytest.mark.parametrize("flag, value, token", [
+    ("--sizes", "16,32,x,64", "'x'"),
+    ("--sizes", "16," + "x" * 5000, f"{'x' * 40!r}... (5000 characters)"),  # cut
+    ("--reps", "x", "'x'"),
+], ids=["sizes", "sizes-long", "reps"])
+def test_bench_bad_number_names_its_flag_exit_2(capsys, flag, value, token):
+    # argparse rejects the token before any run, as it does every flag's bad value
+    with pytest.raises(SystemExit) as exc:
+        main(["bench", flag, value])
+    err = capsys.readouterr().err
+    assert exc.value.code == 2
+    assert err.splitlines()[-1] == f"eqpart bench: error: argument {flag}: invalid int value: {token}"
 
 
 def test_bench_default_geometric_run_makes_swaps(capsys):

@@ -1016,11 +1016,12 @@ def test_pairswap_check_examples():
 
 
 def _pairswap_states():
-    """(state, tolerance) over the families where a merge could slip: ints
+    """(state, tolerance) over the families where the check could slip: ints
     with negatives and duplicates, decimal-duplicate floats (rounding ties),
     sides longer than 64, pinned side-1 sizes, solved and random
     memberships, values in sorted or shuffled order, and tolerances above
-    zero."""
+    zero, some of them 1 or more, so that an int state's s = floor(T) is
+    not 0 and its keys are shifted."""
     ints = st.lists(st.integers(-50, 50), min_size=2, max_size=160)
     floats = st.lists(
         st.sampled_from([0.1, 0.2, 0.3, 1e-9, 7.0, -0.3, 2.5]), min_size=2, max_size=160
@@ -1032,7 +1033,7 @@ def _pairswap_states():
         mode = Mode.FLOAT64 if isinstance(values[0], float) else Mode.EXACT_INT
         n = len(values)
         k = draw(st.integers(1, n - 1))
-        tolerance = draw(st.sampled_from([0.0, 1e-12, 1e-3, 0.25]))
+        tolerance = draw(st.sampled_from([0.0, 1e-12, 1e-3, 0.25, 1.0, 2.5, 7.0]))
         set1 = set(draw(st.permutations(range(n)))[:k])
         if draw(st.booleans()):
             r = solve(Instance(tuple(values), mode), SolverConfig(), card1=k)
@@ -1046,7 +1047,23 @@ def _pairswap_states():
     return build()
 
 
+def _int_case(values, set1, tolerance):
+    in_set1 = [i in set1 for i in range(len(values))]
+    return PartitionState.from_membership(values, in_set1, Mode.EXACT_INT), tolerance
+
+
 @given(_pairswap_states())
+# s = floor(T) and a swap of x_L with x_S improves iff s < 2(x_L - x_S) < 2|d| - s.
+# d = -4, s = 2: the 2 <-> 1 swaps sit on the lower bound, so none improves;
+# shifting the smaller side's keys instead of the larger's passes the 1 <-> 1
+@example(_int_case((1, 1, 2, 2), {0}, 2.0))
+# d = -3, s = 2: the 3 <-> 1 swap sits on the upper bound, 2(x_L - x_S) = 2|d| - s
+@example(_int_case((0, 1, 1, 3), {1}, 2.0))
+# d = -5, s = 2: the 3 <-> 1 swap is just above the lower bound, 4 > 2
+@example(_int_case((1, 1, 2, 3), {1}, 2.0))
+# d = -7, s = 4: the 4 <-> 0 swap is just below the upper bound, 8 < 10; a
+# threshold of |d| - s on the keys, not 2(|d| - s), misses it
+@example(_int_case((0, 1, 2, 4), {0}, 4.0))
 @settings(max_examples=400, deadline=None)
 def test_pairswap_check_matches_all_pairs_reference(case):
     state, tolerance = case
@@ -1090,7 +1107,7 @@ def test_zero_tolerance_verdicts_are_exact_past_2_53(state):
 
 
 def _gap_pass_case(values, in_set1):
-    """(state, the same state in descending order, which takes the merge)."""
+    """(state, the same state in descending order, which takes the sorted keys)."""
     state = PartitionState.from_membership(values, in_set1, Mode.EXACT_INT)
     return state, dataclasses.replace(state, values=values[::-1], in_set1=in_set1[::-1])
 
@@ -1143,8 +1160,9 @@ def _solver_shaped_states(draw):
 @example(_gap_pass_case((4, 4, 4, 4), [True, False, True, False]))  # d = 0
 @settings(max_examples=400, deadline=None)
 def test_tolerance_zero_gap_pass_matches_reference_and_merge(case):
-    # a sorted state takes the gap pass and its shuffled copy, almost always
-    # out of order, the merge: both must give the all-pairs verdict
+    # a sorted state takes the gap pass on its values and its shuffled copy,
+    # almost always out of order, the pass on sorted keys: both must give the
+    # all-pairs verdict
     state, shuffled = case
     verdict = is_locally_optimal_pairswap(state)
     assert verdict == (pairswap_witness(state) is None)
