@@ -127,10 +127,15 @@ def _config_from_args(args) -> SolverConfig:
 def _cmd_solve(args) -> int:
     """solve, verify and solve-traditional: read, solve, check, print; the
     exit code is 3 when verification failed.  The flags are checked before
-    the input is read."""
+    the input is read, and the oracle's cap before the solve."""
     cfg = _config_from_args(args)
     instance = _read_instance(args)
     traditional = args.command == "solve-traditional"
+    exact_min = None
+    if args.oracle:
+        from .oracle import exact_min_diff_unconstrained, oracle_result
+        exact_min = (exact_min_diff_unconstrained(instance) if traditional
+                     else oracle_result(instance, card1=args.cardinality).exact_min)
     if traditional:
         from .reductions import solve_traditional
         result = solve_traditional(instance, cfg)
@@ -144,11 +149,6 @@ def _cmd_solve(args) -> int:
     verified = None
     if args.verify:
         verified = is_locally_optimal_pairswap(report.partition)
-    exact_min = None
-    if args.oracle:
-        from .oracle import exact_min_diff_unconstrained, oracle_result
-        exact_min = (exact_min_diff_unconstrained(instance) if traditional
-                     else oracle_result(instance, card1=args.cardinality).exact_min)
     set1, set2 = ([instance.values[i] for i in idx] for idx in sides)
     m = report.metrics
     metrics = {

@@ -1,22 +1,20 @@
 """Exhaustive ground-truth solvers for small instances.
 
 Everything here enumerates or scans all pairs.  The only logic shared with
-the production solver is setup: the cardinality rule, the sort and the
-initial membership.  The arithmetic, the searches and the local-optimality
-tests are written out again, so these routines serve as the independent
-check of its output (pair swaps, and transfers on a free-cardinality
-result): values become exact numerators over the lcm of their
-as_integer_ratio denominators (core uses a power-of-two scale of its own),
-and d is rounded to input units only when reported.  The equal-cardinality
-enumeration caps at N = 24 (C(24,12)/2 is about 1.35M bipartitions) and
-refuses larger inputs outright.
+the production solver is setup: the cardinality rule and the sort.  The
+arithmetic, the enumeration and the local-optimality tests are written out
+again, so these routines serve as the independent check of its output
+(pair swaps, and transfers on a free-cardinality result): values become
+exact numerators over the lcm of their as_integer_ratio denominators (core
+uses a power-of-two scale of its own), and d is rounded to input units only
+when reported.  The equal-cardinality enumeration caps at N = 24
+(C(24,12)/2 is about 1.35M bipartitions) and refuses larger inputs outright.
 """
 
 from __future__ import annotations
 
 import functools
 import math
-import time
 from dataclasses import dataclass
 from itertools import combinations, compress, product
 from typing import Iterator, Optional
@@ -24,13 +22,9 @@ from typing import Iterator, Optional
 from .core import (  # OracleCapError is core's, re-exported here
     Instance,
     InvalidCardinalityError,
-    Metrics,
     Mode,
     OracleCapError,
     PartitionState,
-    SolveReport,
-    SolverConfig,
-    init_partition,
     normalize_and_sort,
     side1_cardinality,
 )
@@ -82,14 +76,15 @@ def pairswap_witness(state: PartitionState, tolerance: float = 0.0):
 
     The all-pairs O(N^2) reference for core.is_locally_optimal_pairswap.
     Exact: d is summed afresh from the values, and tolerance joins them over
-    the common denominator.
+    the common denominator.  tolerance is in input units, so on a solver
+    state (values times scale) it counts scale times.
     """
     *nums, tol = _numerators((*state.values, tolerance))[0]
     d = _diff(nums, state.in_set1)
     side2 = state.set2_indices()
     for a in state.set1_indices():
         for b in side2:
-            if abs(d - 2 * nums[a] + 2 * nums[b]) < abs(d) - tol:
+            if abs(d - 2 * nums[a] + 2 * nums[b]) < abs(d) - tol * state.scale:
                 return a, b
     return None
 
@@ -164,41 +159,3 @@ def exact_min_diff_unconstrained(instance: Instance):
     nums, den = _numerators(instance.values)
     best = min(abs(_diff(nums, (True, *rest))) for rest in product((True, False), repeat=n - 1))
     return _in_units(best, den, instance.mode)
-
-
-def reference_local_search(
-    instance: Instance, cfg: SolverConfig = SolverConfig()
-) -> SolveReport:
-    """Naive cross-check solver: apply the globally best improving swap over
-    all cross-side pairs until none is left.
-
-    Locally optimal by construction.  Shares only the initial membership
-    with the production solver; the search itself is the obvious quadratic
-    scan, on exact numerators, so |d| strictly falls and the search ends.
-    May reach a different local optimum than the production solver.
-    """
-    t0 = time.perf_counter_ns()
-    si = normalize_and_sort(instance)
-    in_set1 = init_partition(si, cfg).in_set1
-    nums, den = _numerators(si.sorted_values)
-    d = _diff(nums, in_set1)
-    metrics = Metrics()
-    while True:
-        best_pair, best_d = None, d
-        for a, b in product(range(len(si)), repeat=2):
-            if in_set1[a] and not in_set1[b]:
-                metrics.candidate_evaluations += 1
-                new_d = d - 2 * nums[a] + 2 * nums[b]
-                if abs(new_d) < abs(best_d):
-                    best_pair, best_d = (a, b), new_d
-        if best_pair is None:
-            break
-        (a, b), d = best_pair, best_d
-        in_set1[a], in_set1[b] = False, True
-        metrics.swaps += 1
-    state = PartitionState(si.sorted_values, in_set1, _in_units(d, den, si.mode), si.mode)
-    set1 = tuple(sorted(si.perm[i] for i in state.set1_indices()))
-    set2 = tuple(sorted(si.perm[i] for i in state.set2_indices()))
-    metrics.wall_time_ns = time.perf_counter_ns() - t0
-    return SolveReport(partition=state, objective=abs(state.d), metrics=metrics,
-                       original_set1=set1, original_set2=set2, sorted_instance=si)

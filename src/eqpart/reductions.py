@@ -1,4 +1,4 @@
-"""Reductions and transforms layered on the equal-cardinality solver.
+"""Reductions layered on the equal-cardinality solver.
 
 The free-cardinality (traditional) partition problem reduces to the
 equal-cardinality one by appending N dummy zeros: a swap with a dummy acts
@@ -75,15 +75,3 @@ def solve_with_cardinality(
     k slots round-robin at ratio k:(N-k), GREEDY and RANDOM respect the caps.
     """
     return solve(instance, cfg, card1=k)
-
-
-def affine_transform(instance: Instance, alpha, beta) -> Instance:
-    """Map every value to alpha * x + beta (alpha nonzero), in the same mode.
-
-    Instance checks the moved values as it checks any input: in exact mode
-    it refuses a sum past the guard and the non-ints a non-int alpha or beta
-    makes.
-    """
-    if alpha == 0:
-        raise ValueError("alpha must be nonzero")
-    return Instance(tuple(alpha * x + beta for x in instance.values), instance.mode)

@@ -450,6 +450,23 @@ def test_traditional_oracle_cap_exit_2(capsys, monkeypatch):
     assert err == "error: N=25 exceeds the enumeration cap of 24\n"
 
 
+@pytest.mark.parametrize("command, n, message", [
+    ("solve", 26, "N=26 exceeds the enumeration cap of 24 (C(26,13)/2 bipartitions is too many)"),
+    ("solve-traditional", 25, "N=25 exceeds the enumeration cap of 24"),
+], ids=["solve", "solve-traditional"])
+def test_oracle_cap_refuses_before_the_solve(capsys, monkeypatch, command, n, message):
+    from eqpart import reductions
+
+    def unreachable(*args, **kwargs):
+        raise AssertionError("solved before the oracle's cap was checked")
+
+    monkeypatch.setattr(cli, "solve", unreachable)
+    monkeypatch.setattr(reductions, "solve_traditional", unreachable)
+    code, out, err = run_cli(capsys, [command, "--oracle"],
+                             " ".join(map(str, range(1, n + 1))), monkeypatch)
+    assert (code, out, err) == (2, "", f"error: {message}\n")
+
+
 def _mask_wall_time(text):
     """Wall times in text, JSON and CSV output replaced by #."""
     text = re.sub(r'(wall_time_ns"?(?:=|: ))[\d.]+', r"\1#", text)

@@ -1019,9 +1019,11 @@ def _pairswap_states():
     """(state, tolerance) over the families where the check could slip: ints
     with negatives and duplicates, decimal-duplicate floats (rounding ties),
     sides longer than 64, pinned side-1 sizes, solved and random
-    memberships, values in sorted or shuffled order, and tolerances above
-    zero, some of them 1 or more, so that an int state's s = floor(T) is
-    not 0 and its keys are shifted."""
+    memberships, values in sorted or shuffled order, float states in input
+    units or, as the solver keeps them, as ints times a scale of 2^k (the
+    solver's own state too), where a tolerance counts scale times, and
+    tolerances other than zero, some of them 1 or more, so that an int
+    state's s = floor(T) is not 0 and its keys are shifted."""
     ints = st.lists(st.integers(-50, 50), min_size=2, max_size=160)
     floats = st.lists(
         st.sampled_from([0.1, 0.2, 0.3, 1e-9, 7.0, -0.3, 2.5]), min_size=2, max_size=160
@@ -1033,16 +1035,18 @@ def _pairswap_states():
         mode = Mode.FLOAT64 if isinstance(values[0], float) else Mode.EXACT_INT
         n = len(values)
         k = draw(st.integers(1, n - 1))
-        tolerance = draw(st.sampled_from([0.0, 1e-12, 1e-3, 0.25, 1.0, 2.5, 7.0]))
+        tolerance = draw(st.sampled_from([0.0, 1e-12, 1e-3, 0.25, 1.0, 2.5, 7.0, -0.1, -1.0]))
         set1 = set(draw(st.permutations(range(n)))[:k])
         if draw(st.booleans()):
             r = solve(Instance(tuple(values), mode), SolverConfig(), card1=k)
+            if draw(st.booleans()):
+                return r.partition, tolerance
             set1 = set(r.partition.set1_indices())
         order = draw(st.permutations(range(n))) if draw(st.booleans()) else range(n)
-        state = PartitionState.from_membership(
-            tuple(values[i] for i in order), [i in set1 for i in order], mode
-        )
-        return state, tolerance
+        values, in_set1 = tuple(values[i] for i in order), [i in set1 for i in order]
+        if mode is Mode.FLOAT64 and draw(st.booleans()):
+            return _scaled_state(values, in_set1), tolerance
+        return PartitionState.from_membership(values, in_set1, mode), tolerance
 
     return build()
 
@@ -1050,6 +1054,12 @@ def _pairswap_states():
 def _int_case(values, set1, tolerance):
     in_set1 = [i in set1 for i in range(len(values))]
     return PartitionState.from_membership(values, in_set1, Mode.EXACT_INT), tolerance
+
+
+def _scaled_state(values, in_set1):
+    """Float values in the solver's form: their scaled_ints, and the scale."""
+    ints, scale = core.scaled_ints(values)
+    return PartitionState(ints, in_set1, core._side_diff(ints, in_set1), Mode.EXACT_INT, scale)
 
 
 @given(_pairswap_states())
@@ -1064,6 +1074,10 @@ def _int_case(values, set1, tolerance):
 # d = -7, s = 4: the 4 <-> 0 swap is just below the upper bound, 8 < 10; a
 # threshold of |d| - s on the keys, not 2(|d| - s), misses it
 @example(_int_case((0, 1, 2, 4), {0}, 4.0))
+# scale 2^56, d = 2.35 in input units: the best swaps (0.2 <-> 0.1 and
+# 3.0 <-> 0.75) give |d'| = 2.15, a gain of 0.2 < T = 0.25, so none counts;
+# a reference that reads T in scaled units (0.25 / 2^56) takes the first
+@example((_scaled_state((0.1, 0.2, 0.75, 3.0), [False, True, False, True]), 0.25))
 @settings(max_examples=400, deadline=None)
 def test_pairswap_check_matches_all_pairs_reference(case):
     state, tolerance = case

@@ -1,22 +1,11 @@
 """Tests for the exhaustive oracles."""
 
 import math
-import os
-import subprocess
-import sys
-from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from eqpart.core import (
-    InitStrategy,
-    Instance,
-    InvalidCardinalityError,
-    Mode,
-    SolverConfig,
-    is_locally_optimal_pairswap,
-)
+from eqpart.core import Instance, InvalidCardinalityError
 from eqpart.oracle import (
     ENUMERATION_CAP,
     OracleCapError,
@@ -24,8 +13,6 @@ from eqpart.oracle import (
     exact_min_diff_unconstrained,
     local_optima_set,
     oracle_result,
-    pairswap_witness,
-    reference_local_search,
 )
 
 
@@ -94,54 +81,6 @@ def test_oracle_result_invariants(values):
     assert res.exact_min == min(res.local_optima)
     assert res.num_partitions_enumerated == math.comb(len(values), len(values) // 2) // 2
     assert res.exact_min == min(abs(s.d) for s in enumerate_equal_partitions(inst))
-
-
-def test_reference_local_search_examples():
-    cfg = SolverConfig(init_strategy=InitStrategy.SPLIT_HALF)
-    assert reference_local_search(Instance.from_values([1, 2, 3, 8]), cfg).objective == 4
-    for strategy in InitStrategy:
-        c = SolverConfig(init_strategy=strategy, seed=5)
-        assert reference_local_search(Instance.from_values([1, 2, 3, 4]), c).objective == 0
-    r = reference_local_search(Instance.from_values([9, 2]))
-    assert r.objective == 7
-    assert r.metrics.swaps == 0
-
-
-@given(st.lists(st.integers(0, 100), min_size=4, max_size=12).filter(lambda v: len(v) % 2 == 0))
-@settings(max_examples=100, deadline=None)
-def test_reference_search_reaches_a_local_optimum(values):
-    inst = Instance.from_values(values)
-    r = reference_local_search(inst)
-    assert is_locally_optimal_pairswap(r.partition)
-    assert r.objective in local_optima_set(inst)
-    assert r.objective >= min(abs(s.d) for s in enumerate_equal_partitions(inst))
-
-
-def test_reference_search_terminates_on_floats():
-    # in floats, -6.4 - 1.2 + 14.0 rounds to 6.3999999999999995 < 6.4, so
-    # the pair was swapped, and re-deriving d as s1 - s2 undid it forever.
-    # Exactly, the swap only negates d, so there is none.  A child
-    # interpreter turns a hang into a failure.
-    code = ("from eqpart.core import Instance; from eqpart.oracle import reference_local_search; "
-            "r = reference_local_search(Instance.from_values([0.6, 7.0])); "
-            "print(r.objective, r.metrics.swaps)")
-    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parent.parent / "src"))
-    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
-                          text=True, check=True, timeout=60)
-    assert proc.stdout.split() == ["6.4", "0"]
-
-
-@given(
-    st.lists(st.sampled_from([0.1, 0.2, 0.3, 1e-9, 0.6, 0.9, 7.0, 21.0]), min_size=2,
-             max_size=10).filter(lambda v: len(v) % 2 == 0),
-    st.sampled_from(list(InitStrategy)),
-)
-@settings(max_examples=200, deadline=None)
-def test_reference_search_reaches_a_local_optimum_on_floats(values, strategy):
-    inst = Instance(tuple(values), Mode.FLOAT64)
-    r = reference_local_search(inst, SolverConfig(init_strategy=strategy, seed=3))
-    assert pairswap_witness(r.partition) is None
-    assert r.objective == abs(r.partition.d)
 
 
 def test_unconstrained_brute_force():

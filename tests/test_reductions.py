@@ -1,4 +1,5 @@
-"""Tests for the dummy-zero reduction, pinned cardinalities, and affine maps."""
+"""Tests for the dummy-zero reduction, pinned cardinalities, and the
+solver's equivariance under affine maps."""
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -8,7 +9,6 @@ from eqpart.core import (
     Instance,
     InvalidCardinalityError,
     Mode,
-    OverflowGuardError,
     SolverConfig,
     is_locally_optimal_pairswap,
     solve,
@@ -17,7 +17,6 @@ from eqpart import oracle, reductions
 from eqpart.oracle import exact_min_diff_unconstrained, is_locally_optimal_transfer
 from eqpart.reductions import (
     TraditionalResult,
-    affine_transform,
     solve_traditional,
     solve_with_cardinality,
     to_equal_cardinality,
@@ -173,7 +172,7 @@ def test_empty_instance_is_a_cardinality_error():
 
 def _gathered_sides(report):
     """Original-index sides gathered through perm and sorted, the form
-    oracle.reference_local_search keeps."""
+    SolveReport.original_set1 and original_set2 hold."""
     perm, state = report.sorted_instance.perm, report.partition
     return (
         tuple(sorted(perm[i] for i in state.set1_indices())),
@@ -225,12 +224,16 @@ def test_cardinality_is_conserved(values, k, strategy_idx):
     assert is_locally_optimal_pairswap(r.partition)
 
 
+def _moved(inst, alpha, beta):
+    """inst with every value mapped to alpha * x + beta, in the same mode."""
+    return Instance(tuple(alpha * x + beta for x in inst.values), inst.mode)
+
+
 def test_affine_transform_examples():
     inst = Instance.from_values([1, 2, 3, 8])
-    assert affine_transform(inst, 2, 10).values == (12, 14, 16, 26)
-    assert affine_transform(inst, 1, 0).values == inst.values
     base = solve(inst)
-    moved = solve(affine_transform(inst, 2, 10))
+    moved = solve(_moved(inst, 2, 10))
+    assert moved.sorted_instance.sorted_values == (12, 14, 16, 26)
     assert moved.objective == 8 == 2 * base.objective
     assert moved.partition.in_set1 == base.partition.in_set1
 
@@ -247,36 +250,20 @@ def test_negative_alpha_still_lands_on_a_local_optimum(values, alpha, beta):
     from eqpart.oracle import local_optima_set
 
     inst = Instance.from_values(values)
-    moved = solve(affine_transform(inst, alpha, beta))
+    moved = solve(_moved(inst, alpha, beta))
     assert is_locally_optimal_pairswap(moved.partition)
     assert moved.objective % abs(alpha) == 0
     assert moved.objective // abs(alpha) in local_optima_set(inst)
 
 
-def test_affine_transform_guards():
-    inst = Instance.from_values([1, 2, 3, 8])
-    with pytest.raises(ValueError):
-        affine_transform(inst, 0, 1)
-    # Instance refuses the float values a float alpha or beta makes in exact mode
-    with pytest.raises(OverflowGuardError, match="requires int values"):
-        affine_transform(inst, 1.5, 0)
-    with pytest.raises(OverflowGuardError, match="requires int values"):
-        affine_transform(inst, 2, 0.0)
-    # bools are ints to Python arithmetic: True * x + False is an int
-    assert affine_transform(inst, True, False).values == inst.values
-    with pytest.raises(OverflowGuardError):
-        affine_transform(inst, 1 << 61, 0)
-    # the moved values are checked by Instance, as any input is
-    with pytest.raises(OverflowGuardError, match=r"^sum of \|values\| = 4611686018427387904 "
-                                                 r"exceeds the 2\^62 guard$"):
-        affine_transform(Instance.from_values([1 << 59] * 4), 2, 0)
-    fl = affine_transform(Instance.from_values([1.0, 2.0]), 0.5, 1.0)
-    assert fl.values == (1.5, 2.0)
-
-
 def test_affine_transform_of_an_empty_exact_instance_is_empty():
-    # no value is made, so no non-int value reaches Instance's int check:
-    # any nonzero alpha and any beta give the empty instance
+    # no value is made, so a non-int alpha or beta reaches no int check; the
+    # moved instance is empty, and solve refuses it as any empty instance
     empty = Instance((), Mode.EXACT_INT)
     for alpha, beta in ((1.5, 0), (2, 0.5), (2, 3)):
-        assert affine_transform(empty, alpha, beta) == empty
+        moved = _moved(empty, alpha, beta)
+        assert moved == empty
+        with pytest.raises(InvalidCardinalityError, match="^instance is empty$"):
+            solve(moved)
+        with pytest.raises(InvalidCardinalityError, match="^instance is empty$"):
+            solve_with_cardinality(moved, 1)
