@@ -21,8 +21,7 @@ import statistics
 from dataclasses import asdict, astuple, dataclass, fields, replace
 from typing import Iterable, Optional, Sequence
 
-from .core import (  # BenchInvariantError is core's, re-exported here
-    BenchInvariantError,
+from .core import (
     Instance,
     InternalConsistencyError,
     Mode,
@@ -169,10 +168,10 @@ def run_one(spec: GeneratorSpec, cfg: SolverConfig) -> RunRecord:
     try:
         report = solve(instance, cfg)  # raises past the sweep-count ceiling
     except InternalConsistencyError as exc:
-        raise BenchInvariantError(f"{exc} {where}") from exc
+        raise InternalConsistencyError(f"{exc} {where}") from exc
     m = report.metrics
     if m.max_traverse_evaluations > 2 * spec.n:
-        raise BenchInvariantError(
+        raise InternalConsistencyError(
             f"per-traverse work bound breached: {m.max_traverse_evaluations} > {2 * spec.n} "
             + where
         )
@@ -221,10 +220,5 @@ def export_report(report: ScalingReport, fmt: str = "csv") -> bytes:
         writer.writerows(map(astuple, report.runs))
         return buf.getvalue().encode()
     if fmt == "json":
-        payload = {
-            "runs": [asdict(r) for r in report.runs],
-            "rows": [asdict(r) for r in report.rows],
-            "slope": report.slope,
-        }
-        return json.dumps(payload, indent=2).encode()
+        return json.dumps(asdict(report), indent=2).encode()
     raise ValueError(f"unknown format {fmt!r}")

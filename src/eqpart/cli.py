@@ -2,7 +2,11 @@
 
 Exit codes: 0 success, 1 malformed input or unwritable output (--out, a
 closed stdout), 2 constraint violation (odd N, cardinality range, oracle
-cap, overflow guard), 3 internal invariant failure.
+cap, a sum past the 2^62 integer guard), 3 internal invariant failure.  A
+token the mode rejects, a literal past 2^62 or a non-finite float included,
+is malformed input and names its line and column.  main maps errors by base
+class, in order: InputFormatError 1, InternalConsistencyError 3, any other
+PartitionError or a ValueError 2.
 """
 
 from __future__ import annotations
@@ -18,13 +22,10 @@ import sys
 # bench, oracle and reductions are imported by the handlers that call them,
 # so a solve neither loads nor compiles them
 from .core import (
-    BenchInvariantError,
     Instance,
     InternalConsistencyError,
-    InvalidCardinalityError,
     InitStrategy,
     Mode,
-    OracleCapError,
     OverflowGuardError,
     PartitionError,
     SolverConfig,
@@ -150,14 +151,8 @@ def _cmd_solve(args) -> int:
     if args.verify:
         verified = is_locally_optimal_pairswap(report.partition)
     set1, set2 = ([instance.values[i] for i in idx] for idx in sides)
-    m = report.metrics
-    metrics = {
-        "traverses": m.traverses,
-        "swaps": m.swaps,
-        "sign_changes": m.sign_changes,
-        "candidate_evaluations": m.candidate_evaluations,
-        "wall_time_ns": m.wall_time_ns,
-    }
+    metrics = dataclasses.asdict(report.metrics)
+    del metrics["max_traverse_evaluations"]
     if args.format == "json":
         payload = {
             "objective": objective,
@@ -235,7 +230,7 @@ def _sizes(text: str) -> list:
 
 def _add_common(p: argparse.ArgumentParser, cardinality: bool = False) -> None:
     p.add_argument("--input", default="-", help="input file, or - for stdin")
-    p.add_argument("--mode", choices=["int", "float"], default=None,
+    p.add_argument("--mode", choices=[m.value for m in Mode], default=None,
                    help="numeric mode (default: int when all tokens are integers)")
     p.add_argument("--init", choices=[s.value for s in InitStrategy],
                    default=InitStrategy.ALTERNATING.value)
@@ -310,12 +305,12 @@ def main(argv=None) -> int:
     except InputFormatError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except (InvalidCardinalityError, OracleCapError, OverflowGuardError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (InternalConsistencyError, BenchInvariantError) as exc:
+    except InternalConsistencyError as exc:
         print(f"internal error: {exc}", file=sys.stderr)
         return 3
+    except (PartitionError, ValueError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     return code
 
 

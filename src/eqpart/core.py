@@ -89,15 +89,6 @@ class InternalConsistencyError(PartitionError):
     maintained d that disagrees with its recomputation."""
 
 
-class OracleCapError(PartitionError):
-    """Instance too large for exhaustive enumeration (see eqpart.oracle)."""
-
-
-class BenchInvariantError(PartitionError):
-    """A benchmarked run broke an invariant; the message names family, size
-    and seed (see eqpart.bench)."""
-
-
 @dataclass(frozen=True)
 class Instance:
     """Input multiset with original positions preserved, and the one check of

@@ -19,17 +19,21 @@ from dataclasses import dataclass
 from itertools import combinations, compress, product
 from typing import Iterator, Optional
 
-from .core import (  # OracleCapError is core's, re-exported here
+from .core import (
     Instance,
     InvalidCardinalityError,
     Mode,
-    OracleCapError,
+    PartitionError,
     PartitionState,
     normalize_and_sort,
     side1_cardinality,
 )
 
 ENUMERATION_CAP = 24
+
+
+class OracleCapError(PartitionError):
+    """Instance too large for exhaustive enumeration."""
 
 
 @dataclass(frozen=True)

@@ -10,7 +10,6 @@ import pytest
 
 from eqpart.bench import (
     CSV_HEADER,
-    BenchInvariantError,
     GeneratorSpec,
     RunRecord,
     ScalingReport,
@@ -130,13 +129,13 @@ def test_run_suite_needs_four_sizes():
 
 def test_invariant_breach_aborts_with_seed(work_bound_breach):
     cfg = SolverConfig(init_strategy=InitStrategy.SPLIT_HALF)
-    with pytest.raises(BenchInvariantError, match="seed=0"):
+    with pytest.raises(InternalConsistencyError, match="seed=0"):
         run_one(GeneratorSpec("uniform_int", 64, 0, 1, 10**6), cfg)
 
 
 def test_guard_trip_aborts_with_seed(guard_trip):
     # solve's own guard error, re-raised naming the run to replay
-    with pytest.raises(BenchInvariantError) as exc:
+    with pytest.raises(InternalConsistencyError) as exc:
         run_one(GeneratorSpec("uniform_int", 64, 7, 1, 10**6), SolverConfig())
     assert str(exc.value) == ("nontermination guard tripped after 3 traverses "
                               "(family=uniform_int, n=64, seed=7)")

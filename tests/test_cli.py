@@ -1,10 +1,12 @@
 """Tests for input parsing and the command-line surface."""
 
 import errno
+import importlib
 import itertools
 import json
 import math
 import os
+import pkgutil
 import random
 import re
 import subprocess
@@ -15,9 +17,10 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from eqpart import cli
+import eqpart
+from eqpart import cli, core
 from eqpart.cli import InputFormatError, main, parse_input
-from eqpart.core import SUM_GUARD, Instance, Mode
+from eqpart.core import SUM_GUARD, Instance, InternalConsistencyError, Mode, PartitionError
 
 
 # ------------------------------------------------------------------- parsing
@@ -694,6 +697,48 @@ def test_bench_guard_trip_exits_3_naming_the_seed(capsys, guard_trip):
     assert code == 3 and out == ""
     assert err == ("internal error: nontermination guard tripped after 3 traverses "
                    "(family=uniform_int, n=16, seed=4)\n")
+
+
+def test_nontermination_guard_exits_3(capsys, monkeypatch):
+    # a guard trip is an internal error: exit 3, one stderr line, no output
+    monkeypatch.setattr(core, "traverse_guard", lambda n: 1)
+    code, out, err = run_cli(capsys, ["solve"], "15 20 1 26 8 21 6 18", monkeypatch)
+    assert code == 3 and out == ""
+    assert err == "internal error: nontermination guard tripped after 1 traverses\n"
+
+
+def _error_classes():
+    """PartitionError and every subclass any eqpart module defines, and ValueError."""
+    for info in pkgutil.iter_modules(eqpart.__path__):
+        importlib.import_module(f"eqpart.{info.name}")
+    classes, todo = [], [PartitionError]
+    while todo:
+        classes.append(todo.pop())
+        todo.extend(classes[-1].__subclasses__())
+    return classes + [ValueError]
+
+
+def test_error_classes_cover_every_module():
+    names = {cls.__name__ for cls in _error_classes()}
+    assert names >= {"PartitionError", "InputFormatError", "InvalidCardinalityError",
+                     "OverflowGuardError", "InternalConsistencyError", "OracleCapError",
+                     "ValueError"}
+
+
+@pytest.mark.parametrize("error", _error_classes(), ids=lambda cls: cls.__name__)
+def test_exit_code_follows_the_error_base_class(capsys, monkeypatch, error):
+    def handler(args):
+        raise error("the message")
+
+    monkeypatch.setattr(cli, "_cmd_oracle", handler)
+    code, out, err = run_cli(capsys, ["oracle"])
+    if issubclass(error, InputFormatError):
+        assert (code, err) == (1, "error: the message\n")
+    elif issubclass(error, InternalConsistencyError):
+        assert (code, err) == (3, "internal error: the message\n")
+    else:
+        assert (code, err) == (2, "error: the message\n")
+    assert out == ""
 
 
 def test_bench_huge_integer_family_message_is_short(capsys):

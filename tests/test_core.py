@@ -985,6 +985,17 @@ def test_solve_metrics_invariants():
         assert m.traverses <= traverse_guard(6, Mode.EXACT_INT)
 
 
+def test_solve_raises_past_the_nontermination_guard(monkeypatch):
+    # no input is known to need N+2 sweeps; this one takes 2, so a ceiling
+    # of 1 trips
+    instance = Instance.from_values([15, 20, 1, 26, 8, 21, 6, 18])
+    assert solve(instance).metrics.traverses == 2
+    monkeypatch.setattr(core, "traverse_guard", lambda n: 1)
+    with pytest.raises(InternalConsistencyError,
+                       match=r"^nontermination guard tripped after 1 traverses$"):
+        solve(instance)
+
+
 @given(st.integers(-10**6, 10**6), st.integers(-10**6, 10**6))
 def test_solve_pair(a, b):
     r = solve(Instance.from_values([a, b]))
@@ -1173,10 +1184,10 @@ def _solver_shaped_states(draw):
 @example(_gap_pass_case((0, 2, 3, 3), [False, True, False, True]))
 @example(_gap_pass_case((4, 4, 4, 4), [True, False, True, False]))  # d = 0
 @settings(max_examples=400, deadline=None)
-def test_tolerance_zero_gap_pass_matches_reference_and_merge(case):
-    # a sorted state takes the gap pass on its values and its shuffled copy,
-    # almost always out of order, the pass on sorted keys: both must give the
-    # all-pairs verdict
+def test_tolerance_zero_gap_pass_and_sorted_keys_match_reference(case):
+    # a sorted state takes the gap pass on its values; its shuffled copy,
+    # almost always out of order, takes the pass on sorted keys: both must
+    # give pairswap_witness's all-pairs verdict
     state, shuffled = case
     verdict = is_locally_optimal_pairswap(state)
     assert verdict == (pairswap_witness(state) is None)

@@ -5,7 +5,7 @@ import math
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from eqpart.core import Instance, InvalidCardinalityError
+from eqpart.core import Instance, InvalidCardinalityError, Mode
 from eqpart.oracle import (
     ENUMERATION_CAP,
     OracleCapError,
@@ -87,3 +87,9 @@ def test_unconstrained_brute_force():
     assert exact_min_diff_unconstrained(Instance.from_values([1, 2, 3])) == 0
     assert exact_min_diff_unconstrained(Instance.from_values([1, 1, 1])) == 1
     assert exact_min_diff_unconstrained(Instance.from_values([5])) == 5
+
+
+@pytest.mark.parametrize("mode", Mode)
+def test_unconstrained_brute_force_refuses_an_empty_instance(mode):
+    with pytest.raises(InvalidCardinalityError, match="^need at least one element$"):
+        exact_min_diff_unconstrained(Instance((), mode))
