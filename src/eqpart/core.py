@@ -4,10 +4,10 @@ Splits a multiset of N numbers into two subsets of fixed cardinality so that
 the absolute difference of the subset sums is locally minimal under single
 pair swaps: no exchange of one element from each side can strictly shrink
 |S1 - S2|.  The solver sorts the input once, then sweeps a cursor over the
-sorted indices; at each cursor in the larger-sum side it scans the maximal
-run of opposing-side elements immediately below the cursor for the partner
-whose swap most shrinks the difference.  A sign flip of S1 - S2 restarts the
-sweep; a completed sweep (or an exact zero) terminates.
+sorted indices; at each cursor in the larger-sum side it picks, from the
+maximal run of opposing-side elements immediately below the cursor, the
+partner whose swap most shrinks the difference.  A sign flip of S1 - S2
+restarts the sweep; a completed sweep (or an exact zero) terminates.
 
 One numeric path: the descent runs on exact Python ints, the input's own
 or, for floats, the input times one power of two (scaled_ints), which solve
@@ -397,17 +397,25 @@ def run_traverse(
     The sweep keeps e = |d|, the larger side's excess, and scores every
     swap of cursor value x_n and partner value x_j by one formula, e' =
     e - 2*x_n + 2*x_j (d' for d > 0, -d' for d < 0), c = e - 2*x_n hoisted.
-    e' is exact and monotone in x_j, so |e'| is V-shaped over the window:
-    the scan stops at the first e' >= 0 and keeps the first strict minimum
-    (lowest index on ties).  A chosen e' of 0 reaches zero, a negative one
-    flips the sign.  Signed d is formed only for SwapEvents and state.d.
+    e' is exact and monotone in x_j, and the window ascends (the tie member
+    first, standing at index floor, then the run), so |e'| is V-shaped over
+    it.  A scan up from the window's bottom, lo, would stop at the first e'
+    >= 0, index j, and keep the first strict minimum: j, or the first index
+    of the value group below j (the last e' < 0), which wins a tie.  The
+    sweep takes j = lo in O(1) when lo's e' is >= 0, else finds the first
+    x_j >= x_n - e // 2 by one bisection, and the group's first index by
+    one more.  A chosen e' of 0 reaches zero, a negative one flips the
+    sign.  Signed d is formed only for SwapEvents and state.d.
 
-    Per sweep this costs at most about 2N candidate evaluations: each
-    skipped cursor costs 1; a scanning cursor that neither flips nor zeroes
-    d swaps with the last partner it scanned (every e' before it is
-    negative), so it costs one evaluation per index the floor passes,
-    plus one; a cursor that does not swap moves the floor up to itself; and
-    the tie pointer only moves up within a group and never returns to one.
+    Each scanning cursor counts what the scan would evaluate, j - lo + 1
+    (n - lo when no e' is >= 0), while its work is O(1) or O(log N).  So
+    candidate_evaluations stays the paper's work measure, at most about 2N
+    per sweep: each skipped cursor costs 1; a scanning cursor that neither
+    flips nor zeroes d swaps with the last partner its scan reaches (every
+    e' before it is negative), so it costs one evaluation per index the
+    floor passes, plus one; a cursor that does not swap moves the floor up
+    to itself; and the tie pointer only moves up within a group and never
+    returns to one.
 
     Only cursors that can swap pay for a visit: the sweep jumps between
     larger-side cursors with list.index and counts the skipped ones in bulk
@@ -468,7 +476,7 @@ def run_traverse(
             evals += n - floor - 1
             floor = n
             continue
-        window = range(floor + 1, n)
+        lo = floor + 1  # the window's bottom; floor stands for a tie member
         if tied:
             if values[floor] != tie_value:
                 tie_value = values[floor]
@@ -477,16 +485,20 @@ def run_traverse(
                 tie += 1
                 evals += 1
             if tie < floor:
-                window = itertools.chain((tie,), window)
+                lo = floor
         c = e - 2 * values[n]
-        partner, best = None, e
-        for j in window:
-            evals += 1
-            new_e = c + 2 * values[j]
-            if abs(new_e) < best:
-                partner, best, best_e = j, abs(new_e), new_e
-            if new_e >= 0:
-                break
+        # j: the scan's stop, its first e' >= 0 (n, whose e' is e, if none);
+        # best_e: the scan's last e' < 0 (-e, no gain, if none)
+        j, stop_e, best_e = lo, c + 2 * values[lo], -e
+        if stop_e < 0:
+            j = bisect.bisect_left(values, values[n] - e // 2, lo + 1, n)
+            stop_e, best_e = c + 2 * values[j], c + 2 * values[j - 1]
+        evals += j - lo + (j < n)
+        partner = None
+        if -best_e < e and -best_e <= stop_e:  # its group's first index wins
+            partner = bisect.bisect_left(values, values[j - 1], lo, j - 1)
+        elif stop_e < e:
+            partner, best_e = j, stop_e
         if partner is None:
             floor = n
             if n < top and values[n + 1] == values[n]:
@@ -508,7 +520,9 @@ def run_traverse(
                     tie = walked
                     floor = n = last
             continue
-        if partner > floor:
+        if partner == floor:
+            partner = tie
+        elif partner > floor:
             floor = partner
         in_set1[n], in_set1[partner] = not larger, larger
         swaps += 1

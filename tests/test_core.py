@@ -348,12 +348,16 @@ def checked_scans():
 
 
 def _sweep(values, set1, mode=None):
-    """One checked sweep of make_state(values, set1): (outcome, trace as
-    (cursor, partner, d_before, d_after, outcome) tuples, metrics, state)."""
+    """One checked sweep of make_state(values, set1), equal in every choice
+    and count to linear_scan_sweep's: (outcome, trace as (cursor, partner,
+    d_before, d_after, outcome) tuples, metrics, state)."""
     state = make_state(values, set1, mode)
     metrics, trace = Metrics(), []
+    reference, ref_metrics, ref_trace = _copy_state(state), Metrics(), []
     with checked_scans():
         outcome = core.run_traverse(state, SolverConfig(), metrics, trace)
+    assert linear_scan_sweep(reference, SolverConfig(), ref_metrics, ref_trace) is outcome
+    assert (trace, metrics, state) == (ref_trace, ref_metrics, reference)
     assert metrics.traverses == 1
     assert metrics.max_traverse_evaluations == metrics.candidate_evaluations
     events = [(e.cursor, e.partner, e.d_before, e.d_after, e.outcome) for e in trace]
@@ -590,6 +594,75 @@ def test_sweep_jump_counts_nothing_for_cursors_right_above_each_other():
     assert metrics.candidate_evaluations == metrics.max_traverse_evaluations == 8
 
 
+def test_partner_accept_takes_the_window_bottom_at_one_evaluation():
+    # d = 39 - 26 = 13, larger side 1 = {4, 5}.  Cursor 4 (value 9) has the
+    # window 0..3; index 0 gives e' = 13 - 18 + 10 = 5, in (0, e), so the
+    # scan would stop there: it is taken at one evaluation, not four.
+    # Cursor 5's gap to index 4 (21) reaches e = 5: rejected, counting 4.
+    outcome, events, metrics, state = _sweep([5, 6, 7, 8, 9, 30], {4, 5})
+    assert outcome is TraverseOutcome.COMPLETED
+    assert events == [(4, 0, 13, 5, TraverseOutcome.COMPLETED)]
+    # skips 0..3 + cursor 4 (1) + cursor 5 (4)
+    assert metrics.candidate_evaluations == 9
+    assert state.d == 5
+
+
+def test_partner_of_the_cursors_value_gives_no_gain():
+    # d = 8 - 5 = 3, larger side 1 = {0, 2}.  Cursor 2 (value 5) has the
+    # window {1}, also a 5: e' = e, the scan stops there at one evaluation
+    # with no gain, and the cursor becomes the floor
+    outcome, events, metrics, state = _sweep([3, 5, 5], {0, 2})
+    assert outcome is TraverseOutcome.COMPLETED and events == []
+    # cursor 0 (0, empty window) + skip 1 + cursor 2 (1)
+    assert metrics.candidate_evaluations == 2
+    assert state.d == 3 and state.in_set1 == [True, False, True]
+
+
+def test_partner_at_the_window_bottom_reaches_zero():
+    # d = 34 - 26 = 8: cursor 4 (value 9) and index 0 (value 5) give
+    # e' = 8 - 18 + 10 = 0 at the window's bottom, one evaluation
+    outcome, events, metrics, state = _sweep([5, 6, 7, 8, 9, 25], {4, 5})
+    assert outcome is TraverseOutcome.ZERO_REACHED
+    assert events == [(4, 0, 8, 0, TraverseOutcome.ZERO_REACHED)]
+    assert metrics.candidate_evaluations == 5  # skips 0..3 + 1
+    assert state.d == 0
+
+
+def test_partner_below_every_stop_is_the_top_groups_first_index():
+    # d = 14 - 11 = 3, larger side 1 = {4, 5}.  Cursor 4 (value 6) scores
+    # e' = 3 - 12 + 2x: -7, -5, -1, -1 over its window 0..3, all below 0,
+    # so the scan would visit all four; the best, e' = -1, is the group of
+    # 4s, whose first index 2 wins, and the swap flips the sign
+    outcome, events, metrics, state = _sweep([1, 2, 4, 4, 6, 8], {4, 5})
+    assert outcome is TraverseOutcome.SIGN_FLIPPED
+    assert events == [(4, 2, 3, -1, TraverseOutcome.SIGN_FLIPPED)]
+    assert metrics.candidate_evaluations == 8  # skips 0..3 + 4
+    assert (metrics.swaps, metrics.sign_changes) == (1, 1)
+
+
+def test_tie_member_wins_an_equal_score_against_the_run():
+    # d = 3, larger side 1 = {1, 4, 5}.  Cursor 1 (a 2) scores index 0
+    # (e' = e) and becomes the floor, with the opposing 2 at index 0 below
+    # it.  Cursor 4 (value 4) scans the tie member 0, then the run: index 2
+    # (also a 2) and index 3 (a 3), e' = -1, -1, 1.  All three tie on
+    # |e'|; the tie member, scanned first, wins.
+    outcome, events, metrics, _ = _sweep([2, 2, 2, 3, 4, 4], {1, 4, 5})
+    assert outcome is TraverseOutcome.SIGN_FLIPPED
+    assert events == [(4, 0, 3, -1, TraverseOutcome.SIGN_FLIPPED)]
+    # skip 0 + cursor 1 (1) + skips 2, 3 + cursor 4 (3)
+    assert metrics.candidate_evaluations == 7
+
+    # d = 8, larger side 1 = {1, 3, 4}: cursor 3 (a 5) scores the tie member
+    # first, e' = 8 - 10 + 4 = 2 >= 0, where the scan stops; index 2, the
+    # run's 2, is never scored.  Cursor 4 walks the pointer over index 0,
+    # now on its side, and scans indices 2 and 3 without a gain.
+    outcome, events, metrics, _ = _sweep([2, 2, 2, 5, 5], {1, 3, 4})
+    assert outcome is TraverseOutcome.COMPLETED
+    assert events == [(3, 0, 8, 2, TraverseOutcome.COMPLETED)]
+    # skip 0 + cursor 1 (1) + skip 2 + cursor 3 (1) + cursor 4 (1 step + 2)
+    assert metrics.candidate_evaluations == 7
+
+
 def test_sweep_swap_keeping_the_sign_goes_on():
     # a swap that keeps d's sign lets the sweep go on; exact mode keeps d
     # bit for bit
@@ -666,7 +739,7 @@ def test_run_traverse_counts_skipped_cursors():
     metrics, trace, ref_metrics, ref_trace = Metrics(), [], Metrics(), []
     with checked_scans():
         outcome = core.run_traverse(state, SolverConfig(), metrics, trace)
-    assert reference_sweep(reference, SolverConfig(), ref_metrics, ref_trace) is outcome
+    assert linear_scan_sweep(reference, SolverConfig(), ref_metrics, ref_trace) is outcome
     assert (trace, metrics, state) == (ref_trace, ref_metrics, reference)
     assert metrics.swaps > 0 and metrics.candidate_evaluations > len(si) // 2
 
@@ -707,75 +780,57 @@ def test_sweeps_are_symmetric_under_swapping_the_side_labels(start):
     assert f_state.d == -state.d and f_state.in_set1 == [not b for b in state.in_set1]
 
 
-def _reference_find_best_swap(state, n, floor, ties, metrics):
-    """The partner scan as a function of its own, when it also took the
-    skipped cursors and scored every partner with _reference_pair_diff,
-    kept as the reference."""
-    d = state.d
-    in_set1 = state.in_set1
-    side = in_set1[n]
-    if (d > 0) != side or d == 0:
-        metrics.candidate_evaluations += 1
-        return None
-
-    values = state.values
-    positive = d > 0
-    evals = 0
-    best_idx = None
-    best_val = None
-    window = range(floor + 1, n)
-    if floor > 0 and values[floor - 1] == values[floor]:
-        group = bisect.bisect_left(values, values[floor], 0, floor)
-        q = ties.get(group, group)
-        while q < floor and in_set1[q] == side:
-            q += 1
-            evals += 1
-        ties[group] = q
-        if q < floor:
-            window = itertools.chain((q,), window)
-    for j in window:
-        evals += 1
-        new_d = _reference_pair_diff(state, n, j)
-        val = abs(new_d)
-        if best_val is None or val < best_val:
-            best_idx, best_val = j, val
-        if new_d == 0 or (new_d > 0) == positive:
-            break
-    metrics.candidate_evaluations += evals
-
-    if best_idx is not None and best_val < abs(d):
-        return best_idx, best_val
-    return None
-
-
-def reference_sweep(state, cfg, metrics, trace=None):
-    """run_traverse as it was when every cursor went through the scan and
-    the swap recomputed d', kept as the reference."""
+def linear_scan_sweep(state, cfg, metrics, trace=None):
+    """run_traverse as it was when every cursor was visited and its partner
+    found by scanning its window element by element, kept as the reference
+    for every choice and count the sweep makes."""
     metrics.traverses += 1
-    evals_before = metrics.candidate_evaluations
+    values, in_set1, d = state.values, state.in_set1, state.d
+    larger = d > 0 if d else None
+    sign = 1 if larger else -1
+    e = sign * d
+    evals, floor, tie_value, tie = 0, -1, None, None
     outcome = TraverseOutcome.COMPLETED
-    floor = -1
-    ties: dict = {}
-    for n in range(len(state.values)):
-        hit = _reference_find_best_swap(state, n, floor, ties, metrics)
-        if hit is None:
-            if state.in_set1[n] == (state.d > 0):
-                floor = n
+    for n in range(len(values)):
+        if in_set1[n] != larger:
+            evals += 1
             continue
-        partner, _ = hit
+        window = range(floor + 1, n)
+        if floor > 0 and values[floor - 1] == values[floor]:
+            if values[floor] != tie_value:
+                tie_value = values[floor]
+                tie = bisect.bisect_left(values, tie_value, 0, floor)
+            while tie < floor and in_set1[tie] == larger:
+                tie += 1
+                evals += 1
+            if tie < floor:
+                window = itertools.chain((tie,), window)
+        c = e - 2 * values[n]
+        partner, best = None, e
+        for j in window:
+            evals += 1
+            new_e = c + 2 * values[j]
+            if abs(new_e) < best:
+                partner, best, best_e = j, abs(new_e), new_e
+            if new_e >= 0:
+                break
+        if partner is None:
+            floor = n
+            continue
         floor = max(floor, partner)
-        d_before = state.d
-        outcome = _reference_apply_swap(state, n, partner)
+        in_set1[n], in_set1[partner] = not larger, larger
         metrics.swaps += 1
+        outcome = (TraverseOutcome.ZERO_REACHED if best_e == 0 else
+                   TraverseOutcome.SIGN_FLIPPED if best_e < 0 else TraverseOutcome.COMPLETED)
+        metrics.sign_changes += best_e < 0
         if trace is not None:
-            trace.append(SwapEvent(n, partner, d_before, state.d, outcome))
-        if outcome is TraverseOutcome.SIGN_FLIPPED:
-            metrics.sign_changes += 1
+            trace.append(SwapEvent(n, partner, sign * e, sign * best_e, outcome))
+        e = best_e
         if outcome is not TraverseOutcome.COMPLETED:
             break
-    this_traverse = metrics.candidate_evaluations - evals_before
-    if this_traverse > metrics.max_traverse_evaluations:
-        metrics.max_traverse_evaluations = this_traverse
+    state.d = sign * e
+    metrics.candidate_evaluations += evals
+    metrics.max_traverse_evaluations = max(metrics.max_traverse_evaluations, evals)
     return outcome
 
 
@@ -840,7 +895,7 @@ def test_sweep_matches_reference(values, cfg, pinned, data):
         cfg = SolverConfig()
     cfg = dataclasses.replace(cfg, collect_trace=True)
     with start:
-        with mock.patch.object(core, "run_traverse", reference_sweep):
+        with mock.patch.object(core, "run_traverse", linear_scan_sweep):
             expected = _solve_outcome(values, cfg, card1)
         assert _solve_outcome(values, cfg, card1) == expected
 
@@ -852,7 +907,7 @@ def test_sweep_matches_reference_at_4096(cfg):
     rng = random.Random(4096)
     values = [rng.randint(1, 10**9) for _ in range(4096)]
     cfg = dataclasses.replace(cfg, collect_trace=True)
-    with mock.patch.object(core, "run_traverse", reference_sweep):
+    with mock.patch.object(core, "run_traverse", linear_scan_sweep):
         expected = _solve_outcome(values, cfg, None)
     assert _solve_outcome(values, cfg, None) == expected
     assert expected[-1].swaps > 0
@@ -871,9 +926,83 @@ def test_traditional_sweep_matches_reference_at_4096(cfg):
         return (r.part1, r.part2, rep.partition.in_set1, rep.partition.d, rep.trace,
                 dataclasses.replace(rep.metrics, wall_time_ns=0))
 
-    with mock.patch.object(core, "run_traverse", reference_sweep):
+    with mock.patch.object(core, "run_traverse", linear_scan_sweep):
         expected = outcome()
     assert outcome() == expected
+
+
+_FLOAT_ALPHABET = (0.1, 0.3, 0.2, 0.6, 0.9, 1e-9, 3e-9, 7, 21)
+
+
+def _seeded_start(seed):
+    """A descent's start for seed: N in 2..257 values from {0..3},
+    {-20..20}, ints up to 10^9 or the float alphabet (scaled to ints by
+    init_partition), any init, half of them with a pinned k (every odd N),
+    and half with the side labels swapped, so both signs of d occur."""
+    rng = random.Random(seed)
+    n = rng.randint(2, 257)
+    draw = [lambda: rng.randint(0, 3), lambda: rng.randint(-20, 20),
+            lambda: rng.randint(1, 10**9), lambda: rng.choice(_FLOAT_ALPHABET)][seed % 4]
+    values = [draw() for _ in range(n)]
+    card1 = rng.randint(1, n - 1) if n % 2 or rng.random() < 0.5 else None
+    cfg = ALL_STRATEGIES[rng.randrange(4)]
+    state = init_partition(normalize_and_sort(Instance.from_values(values)), cfg, card1)
+    if rng.random() < 0.5:
+        state.in_set1, state.d = [not m for m in state.in_set1], -state.d
+    return state
+
+
+def _descent(sweep, state):
+    """Sweeps until one does not flip the sign: every outcome, the trace,
+    the counters, the final membership and d."""
+    metrics, trace, outcomes = Metrics(), [], []
+    while not outcomes or outcomes[-1] is TraverseOutcome.SIGN_FLIPPED:
+        assert len(outcomes) <= len(state.values) + 2
+        outcomes.append(sweep(state, SolverConfig(), metrics, trace))
+    return outcomes, trace, metrics, state.in_set1, state.d
+
+
+def test_run_traverse_matches_the_linear_scan_on_seeded_states():
+    # the partner taken in O(1) or by bisection makes every choice and
+    # counts every evaluation the element-by-element scan does
+    signs = set()
+    for seed in range(3000):
+        state = _seeded_start(seed)
+        signs.add(state.d > 0)
+        expected = _descent(linear_scan_sweep, _copy_state(state))
+        assert _descent(run_traverse, state) == expected, seed
+    assert signs == {False, True}
+
+
+# (traverses, swaps, sign_changes, candidate_evaluations,
+# max_traverse_evaluations) of seeded 2^12 solves, as the linear scan
+# counted them; the long scans of split init occur from N of a few hundred
+_PINNED_COUNTERS_4096 = {
+    ("ints", "alternating"): (5, 46, 4, 6786, 4096),
+    ("ints", "split"): (1, 1008, 0, 5104, 5104),
+    ("ints", "random"): (7, 270, 6, 8695, 4091),
+    ("ints", "greedy"): (5, 7, 4, 4196, 4097),
+    ("floats", "alternating"): (8, 52, 7, 10913, 4102),
+    ("floats", "split"): (1, 1006, 0, 5104, 5104),
+    ("floats", "random"): (1, 261, 0, 4359, 4359),
+    ("floats", "greedy"): (4, 6, 3, 4988, 4102),
+    ("digits", "alternating"): (1, 1, 0, 402, 402),
+    ("digits", "split"): (1, 1022, 0, 4295, 4295),
+    ("digits", "random"): (1, 66, 0, 674, 674),
+    ("digits", "greedy"): (1, 0, 0, 4096, 4096),
+}
+
+
+@pytest.mark.parametrize("family, init", sorted(_PINNED_COUNTERS_4096))
+def test_counters_pinned_at_4096(family, init):
+    # ints in [1, 10^9], two-decimal floats and digits {0..9}
+    rng = random.Random(4096)
+    draw = {"ints": lambda: rng.randint(1, 10**9), "floats": lambda: rng.randint(1, 10**6) / 100,
+            "digits": lambda: rng.randint(0, 9)}[family]
+    cfg = SolverConfig(init_strategy=InitStrategy(init), seed=1)
+    m = solve(Instance.from_values([draw() for _ in range(4096)]), cfg).metrics
+    assert (m.traverses, m.swaps, m.sign_changes, m.candidate_evaluations,
+            m.max_traverse_evaluations) == _PINNED_COUNTERS_4096[family, init]
 
 
 def _exact_objective(values, set1, set2):
