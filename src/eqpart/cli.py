@@ -71,9 +71,9 @@ def parse_input(data: bytes, mode: Mode | None = None) -> Instance:
         mode = Mode.EXACT_INT if all_int else Mode.FLOAT64
     refusal = None
     if all_int or mode is Mode.FLOAT64 and all(map(_FLOAT_TOKEN.fullmatch, tokens)):
-        convert = int if mode is Mode.EXACT_INT else float
-        try:  # Instance decides which numbers are accepted, in bulk
-            return Instance(tuple(map(convert, tokens)), mode)
+        try:  # Instance decides which numbers are accepted, in bulk, and floats them
+            return Instance(tuple(map(int, tokens)) if mode is Mode.EXACT_INT
+                            else tuple(tokens), mode)
         except (OverflowGuardError, ValueError) as exc:
             refusal = exc  # int()'s digit limit, a guard, or a non-finite float
     # a sum past a guard is no one token's fault: Instance's own error stands

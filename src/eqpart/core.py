@@ -307,18 +307,17 @@ def _initial_membership(xs: tuple, cfg: SolverConfig, card1: int) -> list:
         # min-shifted values so the start point is invariant under affine
         # input transforms (raw sums are not, once cardinalities diverge).
         lo = xs[0]
-        s1 = s2 = 0
-        c1 = c2 = 0
+        t = 0  # side-1 less side-2 sum of the shifted values placed so far
+        left1, left2 = card1, n - card1  # slots left on each side
         for i in range(n - 1, -1, -1):
-            to_set1 = (s1 <= s2 and c1 < card1) or c2 >= n - card1
-            if to_set1:
+            if (t <= 0 and left1) or not left2:
                 in_set1[i] = True
-                s1 += xs[i] - lo
-                c1 += 1
+                t += xs[i] - lo
+                left1 -= 1
             else:
-                s2 += xs[i] - lo
-                c2 += 1
-    else:  # pragma: no cover - enum is closed
+                t -= xs[i] - lo
+                left2 -= 1
+    else:  # a value that is not an InitStrategy, such as the str "split"
         raise ValueError(f"unknown strategy {cfg.init_strategy}")
     return in_set1
 

@@ -1,8 +1,12 @@
 """Shared test helpers."""
 
+import io
+import sys
+
 import pytest
 
 from eqpart import bench
+from eqpart.cli import main
 from eqpart.core import Instance, InternalConsistencyError, PartitionState, normalize_and_sort
 
 
@@ -13,6 +17,16 @@ def make_state(values, set1, mode=None):
     assert si.sorted_values == inst.values, "make_state expects sorted input"
     in_set1 = [i in set1 for i in range(len(values))]
     return PartitionState.from_membership(inst.values, in_set1, inst.mode)
+
+
+def run_cli(capsys, argv, stdin_text=None, monkeypatch=None):
+    """(exit code, stdout, stderr) of cli.main(argv) in process, fed stdin_text."""
+    if stdin_text is not None:
+        buf = io.BytesIO(stdin_text.encode())
+        monkeypatch.setattr(sys, "stdin", type("S", (), {"buffer": buf})())
+    code = main(argv)
+    out = capsys.readouterr()
+    return code, out.out, out.err
 
 
 @pytest.fixture

@@ -21,6 +21,7 @@ import eqpart
 from eqpart import cli, core
 from eqpart.cli import InputFormatError, main, parse_input
 from eqpart.core import SUM_GUARD, Instance, InternalConsistencyError, Mode, PartitionError
+from conftest import run_cli
 
 
 # ------------------------------------------------------------------- parsing
@@ -230,18 +231,6 @@ def test_closed_stdout_exits_1_with_one_line(fmt):
 
 
 # ----------------------------------------------------------------- CLI runs
-
-
-def run_cli(capsys, argv, stdin_text=None, monkeypatch=None):
-    if stdin_text is not None:
-        import io
-        import sys
-
-        buf = io.BytesIO(stdin_text.encode())
-        monkeypatch.setattr(sys, "stdin", type("S", (), {"buffer": buf})())
-    code = main(argv)
-    out = capsys.readouterr()
-    return code, out.out, out.err
 
 
 def test_solve_text_output(capsys, monkeypatch):
@@ -808,7 +797,7 @@ VERIFY_REPRO = (
 def test_float_repros_verify_within_n_plus_2_sweeps(capsys, monkeypatch, argv, stdin_text):
     code, out, err = run_cli(capsys, argv, stdin_text, monkeypatch)
     assert (code, err) == (0, "")
-    assert "verified: PASS\n" in out
+    assert "verified: PASS" in out.splitlines()
     if "--oracle" in argv:
         assert "(globally optimal)" in out
     n = len(stdin_text.split()) * (2 if argv[0] == "solve-traditional" else 1)

@@ -237,6 +237,43 @@ def test_alternating_start_repeats_its_period():
                 (i * card1) % n < card1 for i in range(n)], (n, card1)
 
 
+def _two_sum_greedy(xs, card1):
+    """The greedy start on two side sums and two counts: the reference for
+    the one-difference loop."""
+    n, lo = len(xs), xs[0]
+    in_set1 = [False] * n
+    s1 = s2 = c1 = c2 = 0
+    for i in range(n - 1, -1, -1):
+        if (s1 <= s2 and c1 < card1) or c2 >= n - card1:
+            in_set1[i] = True
+            s1 += xs[i] - lo
+            c1 += 1
+        else:
+            s2 += xs[i] - lo
+            c2 += 1
+    return in_set1
+
+
+def test_greedy_start_matches_the_two_sum_loop():
+    # one running difference and two slot counts decide as the two sums did,
+    # at every pinned cardinality
+    cfg = SolverConfig(init_strategy=InitStrategy.GREEDY)
+    rng = random.Random(26)
+    for _ in range(1000):
+        n = rng.randint(2, 40)
+        lo, hi = rng.choice([(-50, 50), (0, 3), (1, 10**9)])
+        xs = tuple(sorted(rng.randint(lo, hi) for _ in range(n)))
+        for card1 in range(1, n):
+            assert core._initial_membership(xs, cfg, card1) == _two_sum_greedy(xs, card1), (
+                xs, card1)
+
+
+def test_unknown_init_strategy_is_a_value_error():
+    # SolverConfig keeps a str as it is, and the start's dispatch refuses it
+    with pytest.raises(ValueError, match="^unknown strategy split$"):
+        solve(Instance.from_values([1, 2, 3, 4]), SolverConfig(init_strategy="split"))
+
+
 @st.composite
 def _memberships(draw):
     """Values up to 2^62 / N in size, negatives included, and any membership."""
