@@ -1,7 +1,7 @@
 """The console contract: one row per check of an `eqpart` run, exit code and text.
 
-Each row runs `cli.main` in process on a small literal input or on one of
-four seeded 2^14-value files, and holds the run's exit code and its checks.
+Each row runs `cli.main` in process on a small literal input or on an input
+file (see `paths`), and holds the run's exit code and its checks.
 A check names a stream and how its text must appear in it:
 
 - "line": a whole line of the stream (what `grep -x` checks);
