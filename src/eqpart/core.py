@@ -204,15 +204,15 @@ class PartitionState:
     """Membership of each sorted index plus the maintained difference.
 
     in_set1[i] is True when sorted index i belongs to side 1; d is the side-1
-    sum minus the side-2 sum.  Solver states are exact: the input values
-    times scale as ints (see scaled_ints).  Input-unit FLOAT64 states, d the
-    exact difference rounded, come only from from_membership and the oracle.
+    sum minus the side-2 sum.  Every state core builds is exact: ints (float
+    input times scale, see scaled_ints) and an int d.  A float d marks an
+    input-unit state, d the exact difference rounded once, which only
+    oracle.enumerate_equal_partitions yields; the verifier rescales it.
     """
 
     values: tuple
     in_set1: list
     d: float | int
-    mode: Mode
     scale: int = 1
 
     def set1_indices(self) -> tuple:
@@ -224,11 +224,10 @@ class PartitionState:
 
     @classmethod
     def from_membership(cls, values: tuple, in_set1: list, mode: Mode) -> "PartitionState":
-        """State for side 1 = the indices marked in in_set1, d from exact sums."""
-        if mode is Mode.EXACT_INT:
-            return cls(values, in_set1, _side_diff(values, in_set1), mode)
-        ints, scale = scaled_ints(values)
-        return cls(values, in_set1, _side_diff(ints, in_set1) / scale, mode)
+        """The exact state init_partition builds for side 1 = the indices
+        marked in in_set1: ints as they are, floats as scaled_ints(values)."""
+        values, scale = (values, 1) if mode is Mode.EXACT_INT else scaled_ints(values)
+        return cls(values, in_set1, _side_diff(values, in_set1), scale)
 
 
 @dataclass(frozen=True)
@@ -347,7 +346,7 @@ def init_partition(
     exact = si.mode is Mode.EXACT_INT
     values, scale = (si.sorted_values, 1) if exact else scaled_ints(si.sorted_values)
     in_set1 = _initial_membership(values, cfg, card1)
-    return PartitionState(values, in_set1, _side_diff(values, in_set1), Mode.EXACT_INT, scale)
+    return PartitionState(values, in_set1, _side_diff(values, in_set1), scale)
 
 
 def recompute_sums(state: PartitionState) -> PartitionState:
@@ -388,10 +387,10 @@ def run_traverse(
     evaluated; the sweep's one pointer `tie` walks up to it at one candidate
     evaluation per step.  The floor only moves up, so its value group only
     changes to a higher one, never back: the first time the floor has a tie
-    below it in a new group, `tie` is reset by one bisection to the group's
-    first index.  Below the floor, elements only move from the opposing to
-    the larger side within a sweep, so within a group the pointer only
-    moves up.
+    below it in a new group, values[tie] differs from values[floor], and
+    `tie` is reset by one bisection to the group's first index.  Below the
+    floor, elements only move from the opposing to the larger side within a
+    sweep, so within a group the pointer only moves up, at most to the floor.
 
     The sweep keeps e = |d|, the larger side's excess, and scores every
     swap of cursor value x_n and partner value x_j by one formula, e' =
@@ -447,7 +446,7 @@ def run_traverse(
     cell in (n, last], a smaller-side skip or a cursor, costs one.  The
     visits walk the tie pointer up to min(first, prev), one evaluation a
     step, since each walks to first or to its floor, the cursor before it.
-    The jump leaves floor, tie and tie_value where the visits would, so
+    The jump leaves floor and tie where the visits would, so
     each jumped cursor counts exactly what its visit would, and the 2N
     argument is unchanged.  The sweep reads nothing from cfg.
     """
@@ -459,7 +458,7 @@ def run_traverse(
     e = sign * d
     evals = swaps = 0
     floor = n = -1  # n: the last larger-side cursor visited
-    tie_value = tie = None
+    tie = 0
     find = in_set1.index
     top = len(values) - 1
     while True:
@@ -477,9 +476,8 @@ def run_traverse(
             continue
         lo = floor + 1  # the window's bottom; floor stands for a tie member
         if tied:
-            if values[floor] != tie_value:
-                tie_value = values[floor]
-                tie = bisect.bisect_left(values, tie_value, 0, floor)
+            if values[floor] != values[tie]:
+                tie = bisect.bisect_left(values, values[floor], 0, floor)
             while tie < floor and in_set1[tie] == larger:
                 tie += 1
                 evals += 1
@@ -508,8 +506,8 @@ def run_traverse(
                 if k:
                     last = end - 1 - in_set1[end - 1:n:-1].index(larger)
                     prev = n if k == 1 else last - 1 - in_set1[last - 1:n:-1].index(larger)
-                    if tie_value != v:
-                        tie_value, tie = v, bisect.bisect_left(values, v, 0, n)
+                    if values[tie] != v:
+                        tie = bisect.bisect_left(values, v, 0, n)
                     try:  # the group's first opposing member
                         first = in_set1.index(not larger, tie, last)
                     except ValueError:
@@ -614,7 +612,7 @@ def _gap_pass(keys, in_set1, small, threshold):
 
 def is_locally_optimal_pairswap(state: PartitionState, tolerance: float = 0.0) -> bool:
     """True iff no cross-side swap drops |d| below |d| - tolerance (in input
-    units), decided exactly: a FLOAT64 state on the ints of scaled_ints.
+    units), decided exactly: an input-unit state on the ints of scaled_ints.
     For ints, |d'| < |d| - T iff |d'| < |d| - s, s = floor(T), T = tolerance
     * scale; a threshold |d| - s <= 0, as at every d = 0, is True at once.
 
@@ -634,7 +632,7 @@ def is_locally_optimal_pairswap(state: PartitionState, tolerance: float = 0.0) -
     violating pair.
     """
     values, in_set1, d, scale = state.values, state.in_set1, state.d, state.scale
-    if state.mode is Mode.FLOAT64:
+    if isinstance(d, float):  # an input-unit state (see PartitionState)
         values, scale = scaled_ints(values)
         d = _side_diff(values, in_set1)
     num, den = tolerance.as_integer_ratio()

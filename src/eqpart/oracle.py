@@ -107,7 +107,7 @@ def enumerate_equal_partitions(
     instance: Instance, card1: Optional[int] = None
 ) -> Iterator[PartitionState]:
     """Yield every unordered equal-cardinality bipartition exactly once, in
-    input units.
+    input units: float input gets a float d (see core.PartitionState).
 
     Sorted index 0 is pinned to side 1, which kills the label symmetry.
     With card1 = k, yield every side-1 set of size k instead; index 0 is
@@ -123,7 +123,7 @@ def enumerate_equal_partitions(
         for i in pinned + rest:
             in_set1[i] = True
         d = _in_units(_diff(nums, in_set1), den, si.mode)
-        yield PartitionState(si.sorted_values, in_set1, d, si.mode)
+        yield PartitionState(si.sorted_values, in_set1, d)
 
 
 def local_optima_set(instance: Instance) -> tuple:

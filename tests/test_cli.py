@@ -427,26 +427,14 @@ def test_oracle_subcommand(capsys, monkeypatch):
     assert "partitions_enumerated: 1" in out
 
 
-def test_oracle_cap_exit_2(capsys, monkeypatch):
-    code, _, err = run_cli(
-        capsys, ["oracle"], " ".join(str(i) for i in range(26)), monkeypatch
-    )
-    assert code == 2
-    assert "cap" in err
-
-
-def test_traditional_oracle_cap_exit_2(capsys, monkeypatch):
-    code, out, err = run_cli(capsys, ["solve-traditional", "--oracle"],
-                             "\n".join(map(str, range(1, 26))), monkeypatch)
-    assert (code, out) == (2, "")
-    assert err == "error: N=25 exceeds the enumeration cap of 24\n"
-
-
-@pytest.mark.parametrize("command, n, message", [
-    ("solve", 26, "N=26 exceeds the enumeration cap of 24 (C(26,13)/2 bipartitions is too many)"),
-    ("solve-traditional", 25, "N=25 exceeds the enumeration cap of 24"),
-], ids=["solve", "solve-traditional"])
-def test_oracle_cap_refuses_before_the_solve(capsys, monkeypatch, command, n, message):
+@pytest.mark.parametrize("argv, n, message", [
+    (["solve", "--oracle"], 26,
+     "N=26 exceeds the enumeration cap of 24 (C(26,13)/2 bipartitions is too many)"),
+    (["solve-traditional", "--oracle"], 25, "N=25 exceeds the enumeration cap of 24"),
+    (["oracle"], 26,
+     "N=26 exceeds the enumeration cap of 24 (C(26,13)/2 bipartitions is too many)"),
+], ids=["solve", "solve-traditional", "oracle"])
+def test_oracle_cap_refuses_before_the_solve(capsys, monkeypatch, argv, n, message):
     from eqpart import reductions
 
     def unreachable(*args, **kwargs):
@@ -454,8 +442,7 @@ def test_oracle_cap_refuses_before_the_solve(capsys, monkeypatch, command, n, me
 
     monkeypatch.setattr(cli, "solve", unreachable)
     monkeypatch.setattr(reductions, "solve_traditional", unreachable)
-    code, out, err = run_cli(capsys, [command, "--oracle"],
-                             " ".join(map(str, range(1, n + 1))), monkeypatch)
+    code, out, err = run_cli(capsys, argv, " ".join(map(str, range(1, n + 1))), monkeypatch)
     assert (code, out, err) == (2, "", f"error: {message}\n")
 
 

@@ -339,7 +339,7 @@ def _reference_apply_swap(state, n, partner):
 
 
 def _copy_state(state):
-    return PartitionState(state.values, list(state.in_set1), state.d, state.mode)
+    return PartitionState(state.values, list(state.in_set1), state.d, state.scale)
 
 
 @contextlib.contextmanager
@@ -1051,15 +1051,16 @@ def _exact_objective(values, set1, set2):
 
 def _assert_exact_float_report(report):
     """A float solve reports the descent's own state: the sorted input
-    times scale as exact ints, the exact d, and every trace d an int; the
-    objective is |d| / scale rounded once, and the verifier's verdict is
-    the one it gives on the input-unit state of the same membership."""
+    times scale as exact ints, the exact d, and every trace d an int, the
+    state from_membership builds; the objective is |d| / scale rounded
+    once, and the verifier's verdict is the one it gives on the input-unit
+    state of the same membership, as the oracle builds it."""
     state, si = report.partition, report.sorted_instance
-    assert (state.values, state.scale) == core.scaled_ints(si.sorted_values)
+    assert state == PartitionState.from_membership(si.sorted_values, state.in_set1, Mode.FLOAT64)
     assert report.objective == abs(state.d) / state.scale
     assert all(type(e.d_before) is int and type(e.d_after) is int for e in report.trace)
     recompute_sums(state)
-    floats = PartitionState.from_membership(si.sorted_values, state.in_set1, Mode.FLOAT64)
+    floats = _input_unit_state(si.sorted_values, state.in_set1)
     for tolerance in (0.0, 1e-12, 1e-3):
         assert (is_locally_optimal_pairswap(state, tolerance)
                 == is_locally_optimal_pairswap(floats, tolerance))
@@ -1222,7 +1223,7 @@ def _pairswap_states():
         order = draw(st.permutations(range(n))) if draw(st.booleans()) else range(n)
         values, in_set1 = tuple(values[i] for i in order), [i in set1 for i in order]
         if mode is Mode.FLOAT64 and draw(st.booleans()):
-            return _scaled_state(values, in_set1), tolerance
+            return _input_unit_state(values, in_set1), tolerance
         return PartitionState.from_membership(values, in_set1, mode), tolerance
 
     return build()
@@ -1233,10 +1234,11 @@ def _int_case(values, set1, tolerance):
     return PartitionState.from_membership(values, in_set1, Mode.EXACT_INT), tolerance
 
 
-def _scaled_state(values, in_set1):
-    """Float values in the solver's form: their scaled_ints, and the scale."""
-    ints, scale = core.scaled_ints(values)
-    return PartitionState(ints, in_set1, core._side_diff(ints, in_set1), Mode.EXACT_INT, scale)
+def _input_unit_state(values, in_set1):
+    """Float values in input units, as oracle.enumerate_equal_partitions
+    yields them: d is the exact difference rounded once, a float."""
+    exact = PartitionState.from_membership(values, in_set1, Mode.FLOAT64)
+    return PartitionState(values, in_set1, exact.d / exact.scale)
 
 
 @given(_pairswap_states())
@@ -1254,7 +1256,8 @@ def _scaled_state(values, in_set1):
 # scale 2^56, d = 2.35 in input units: the best swaps (0.2 <-> 0.1 and
 # 3.0 <-> 0.75) give |d'| = 2.15, a gain of 0.2 < T = 0.25, so none counts;
 # a reference that reads T in scaled units (0.25 / 2^56) takes the first
-@example((_scaled_state((0.1, 0.2, 0.75, 3.0), [False, True, False, True]), 0.25))
+@example((PartitionState.from_membership((0.1, 0.2, 0.75, 3.0), [False, True, False, True],
+                                         Mode.FLOAT64), 0.25))
 @settings(max_examples=400, deadline=None)
 def test_pairswap_check_matches_all_pairs_reference(case):
     state, tolerance = case
@@ -1367,7 +1370,7 @@ class _Unread(list):
 
 def test_zero_difference_is_optimal_without_a_pass():
     assert is_locally_optimal_pairswap(PartitionState.from_membership((), [], Mode.EXACT_INT))
-    state = PartitionState((1, 2, 3, 4), _Unread([True, False, False, True]), 0, Mode.EXACT_INT)
+    state = PartitionState((1, 2, 3, 4), _Unread([True, False, False, True]), 0)
     assert is_locally_optimal_pairswap(state) is True
     assert is_locally_optimal_pairswap(state, 0.25) is True
 

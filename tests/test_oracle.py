@@ -1,11 +1,18 @@
 """Tests for the exhaustive oracles."""
 
 import math
+import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from eqpart.core import Instance, InvalidCardinalityError, Mode
+from eqpart.core import (
+    Instance,
+    InvalidCardinalityError,
+    Mode,
+    PartitionState,
+    is_locally_optimal_pairswap,
+)
 from eqpart.oracle import (
     ENUMERATION_CAP,
     OracleCapError,
@@ -13,6 +20,7 @@ from eqpart.oracle import (
     exact_min_diff_unconstrained,
     local_optima_set,
     oracle_result,
+    pairswap_witness,
 )
 
 
@@ -58,6 +66,35 @@ def test_enumeration_cap_and_parity():
     with pytest.raises(InvalidCardinalityError):
         list(enumerate_equal_partitions(Instance.from_values([1, 2, 3])))
     assert ENUMERATION_CAP == 24
+
+
+_FLOAT_ALPHABET = (0.1, 0.3, 0.2, 0.6, 0.9, 1e-9, 3e-9, 7.0, 21.0)
+
+
+def test_verifier_decides_the_oracles_input_unit_states():
+    # the oracle's float states hold input-unit values and d rounded once;
+    # the verifier decides them on their own scaled ints.  Its verdict must
+    # be the all-pairs witness's and its own on the exact state of the same
+    # membership, at tolerance 0 and, for floats, at 1e-9 * sum(|x|)
+    rng = random.Random(7)
+    verdicts = set()
+    for k in range(150):
+        n = 2 * rng.randint(1, 5)
+        draw = [lambda: rng.choice(_FLOAT_ALPHABET), lambda: rng.uniform(-5, 5),
+                lambda: rng.randint(-20, 20)][k % 3]
+        inst = Instance.from_values([draw() for _ in range(n)])
+        tolerances = [0.0]
+        if inst.mode is Mode.FLOAT64:
+            tolerances.append(1e-9 * math.fsum(map(abs, inst.values)))
+        for state in enumerate_equal_partitions(inst):
+            assert isinstance(state.d, float) is (inst.mode is Mode.FLOAT64)
+            exact = PartitionState.from_membership(state.values, state.in_set1, inst.mode)
+            for tol in tolerances:
+                verdict = is_locally_optimal_pairswap(state, tol)
+                assert verdict == (pairswap_witness(state, tol) is None), (inst, state, tol)
+                assert verdict == is_locally_optimal_pairswap(exact, tol), (inst, state, tol)
+                verdicts.add((inst.mode, verdict))
+    assert len(verdicts) == 4  # both verdicts, on both modes
 
 
 def test_exact_min_examples():
