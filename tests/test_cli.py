@@ -427,6 +427,13 @@ def test_oracle_subcommand(capsys, monkeypatch):
     assert "partitions_enumerated: 1" in out
 
 
+def test_traditional_oracle_cap_exit_2(capsys, monkeypatch):
+    code, out, err = run_cli(capsys, ["solve-traditional", "--oracle"],
+                             "\n".join(map(str, range(1, 26))), monkeypatch)
+    assert (code, out) == (2, "")
+    assert err == "error: N=25 exceeds the enumeration cap of 24\n"
+
+
 @pytest.mark.parametrize("argv, n, message", [
     (["solve", "--oracle"], 26,
      "N=26 exceeds the enumeration cap of 24 (C(26,13)/2 bipartitions is too many)"),
