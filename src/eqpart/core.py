@@ -358,6 +358,57 @@ def recompute_sums(state: PartitionState) -> PartitionState:
     return state
 
 
+# run_traverse takes a run of O(1) accepts in bulk only when e guarantees at
+# least this many.  Picked by measurement: at 8 the bulk step's set-up cost
+# more than the visits it replaced in random-init descents (about 1.2x at
+# N = 2048); 32 gave up part of split init's gain at N = 256.
+_RUN_MIN = 16
+
+
+def _take_run(values, in_set1, larger, n, floor, e, trace, sign):
+    """Take the run of O(1) accepts from larger-side cursor n on as
+    run_traverse's visits would, while e guarantees _RUN_MIN of them, a
+    window of cells at a time in C-level passes; the window doubles from
+    _RUN_MIN cells and holds no more than e guarantees accepts.  The caller
+    checks that n's own step is one.  Returns the last cursor taken, the
+    floor and e."""
+    span, after, size = values[-1] - values[0], n, _RUN_MIN
+    while e > 2 * _RUN_MIN * span and not (floor > 0 and values[floor - 1] == values[floor]):
+        window = in_set1[after:after + min(size, (e - 1) // (2 * span))]
+        if window.count(larger) == len(window):  # no smaller-side cell in it
+            cs, xs = range(after, after + len(window)), values[after:after + len(window)]
+        else:
+            cs = list(itertools.compress(range(after, after + len(window)),
+                                         window if larger else map(operator.not_, window)))
+            xs = list(map(values.__getitem__, cs))
+        ps = values[floor + 1:floor + 1 + len(cs)]
+        # step i takes partner floor + 1 + i while that value is below the
+        # cursor's, and while no tie group sits at its floor, floor + i
+        no_gain = map(operator.ge, ps, xs)
+        tied_next = map(operator.eq, values[floor:floor + len(cs) - 1], ps)
+        k = min(next(itertools.compress(itertools.count(), no_gain), len(cs)),
+                next(itertools.compress(itertools.count(1), tied_next), len(cs)))
+        if not k:
+            break
+        xs, ps, n = xs[:k], ps[:k], cs[k - 1]
+        # every cell from after to n is a taken cursor or on the smaller
+        # side; the partners, set second, may include taken cursors
+        in_set1[after:n + 1] = [not larger] * (n + 1 - after)
+        in_set1[floor + 1:floor + 1 + k] = [larger] * k
+        if trace is not None:
+            es = list(itertools.accumulate(map(operator.sub, xs, ps),
+                                           lambda prev, gain: prev - 2 * gain, initial=e))
+            trace.extend(map(SwapEvent, cs[:k], range(floor + 1, floor + 1 + k),
+                             map(operator.mul, itertools.repeat(sign), es),
+                             map(operator.mul, itertools.repeat(sign), es[1:]),
+                             itertools.repeat(_COMPLETED, k)))
+        e -= 2 * (sum(xs) - sum(ps))
+        after, floor, size = n + 1, floor + k, 2 * size
+        if k < len(cs):
+            break
+    return n, floor, e
+
+
 def run_traverse(
     state: PartitionState,
     cfg: SolverConfig,
@@ -426,6 +477,26 @@ def run_traverse(
     partner.  Such a cursor becomes the floor in O(1) and counts the run's
     n - floor - 1 evaluations.
 
+    Runs of O(1) accepts are taken in bulk (_take_run).  Let the floor have
+    no tie group, and the next larger-side cursor c take p = floor + 1 with
+    D = x_c - x_p > 0 and e' = e - 2*D >= 1.  Then c's visit is exactly such
+    an accept.  The gap reject cannot fire: p < c, so the gap x_c - x_{c-1}
+    is at most D < e/2.  The scan's first e', p's, is e' >= 0, so it stops
+    at p after one evaluation and keeps p, which gains, as D > 0.  The swap
+    keeps d's sign, p becomes the floor, and p < c holds again at the next
+    cursor, as after every swap (a partner lies below its cursor).  So the
+    i-th cursor of a run takes partner floor + i, and each run cursor and
+    each smaller-side cell passed count one evaluation, as their visits
+    would: the 2N argument is unchanged.  Every D is at most span =
+    values[top] - values[0], so e alone guarantees (e - 1) // (2*span) more
+    accepts, and the run checks only that each partner's value lies below
+    its cursor's and that no tie group sits at each floor.  A run is taken
+    when e guarantees at least _RUN_MIN accepts, its first step gains and
+    its first two floors have no tie group, in C-level passes over windows
+    of cells that double from _RUN_MIN: a run cut short costs at most twice
+    what it takes, plus _RUN_MIN cells.  The same passes append the trace's
+    SwapEvents.
+
     Equal values cost one step per group, not one per cursor (the dummy
     zeros of the free-cardinality reduction are one group).  Once a scanned
     larger-side cursor n of value v keeps no partner, it is the floor, and
@@ -461,6 +532,7 @@ def run_traverse(
     tie = 0
     find = in_set1.index
     top = len(values) - 1
+    run_gate = 2 * _RUN_MIN * (values[top] - values[0]) if values else 0
     while True:
         after = n + 1
         try:
@@ -490,6 +562,16 @@ def run_traverse(
         if stop_e < 0:
             j = bisect.bisect_left(values, values[n] - e // 2, lo + 1, n)
             stop_e, best_e = c + 2 * values[j], c + 2 * values[j - 1]
+        elif e > run_gate and not tied and values[floor] < values[floor + 1] < values[n]:
+            # a run of O(1) accepts from n on, taken in bulk while e
+            # guarantees _RUN_MIN of them, when n's step gains and neither
+            # its floor nor the next has a tie group (floor -1 reads
+            # values[-1], the top, and never passes)
+            start, low = n, floor
+            n, floor, e = _take_run(values, in_set1, larger, n, floor, e, trace, sign)
+            evals += n - start + 1
+            swaps += floor - low
+            continue
         evals += j - lo + (j < n)
         partner = None
         if -best_e < e and -best_e <= stop_e:  # its group's first index wins
@@ -561,7 +643,12 @@ def solve(
     known, and the most measured is 9 sweeps at N = 32 (by hill-climbing).
     """
     t0 = time.perf_counter_ns()
-    si = normalize_and_sort(instance)
+    return _solve_sorted(normalize_and_sort(instance), cfg, card1, t0)
+
+
+def _solve_sorted(si: SortedInstance, cfg: SolverConfig, card1: Optional[int],
+                  t0: int) -> SolveReport:
+    """solve from its sorted instance on; wall_time_ns counts from t0."""
     state = init_partition(si, cfg, card1)
     metrics = Metrics()
     trace = [] if cfg.collect_trace else None

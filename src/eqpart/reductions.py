@@ -10,9 +10,11 @@ by value, so genuine zero inputs survive the strip.
 from __future__ import annotations
 
 import bisect
+import time
 from dataclasses import dataclass
 
-from .core import Instance, InvalidCardinalityError, SolveReport, SolverConfig, solve
+from .core import (Instance, InvalidCardinalityError, Mode, SolveReport, SolverConfig,
+                   SortedInstance, _solve_sorted, normalize_and_sort, solve)
 # perfbench/test_perfbench.py calls the transfer check by this module's name
 from .oracle import is_locally_optimal_transfer  # noqa: F401
 
@@ -49,13 +51,28 @@ def solve_traditional(
     Dummies occupy extended original indices N..2N-1, so stripping keeps
     exactly the original indices; zeros that were genuine inputs stay.  The
     report's index tuples ascend, so each side's originals are a prefix.
+
+    Only the N inputs are sorted.  A stable sort of to_equal_cardinality's
+    2N values puts the dummies, the highest indices, right after the last
+    input <= 0, so they are spliced in there; the extended report is the
+    one solve of the padded instance gives, and its metrics.wall_time_ns
+    covers this whole call.
     """
+    t0 = time.perf_counter_ns()
     n = len(instance)
-    extended = to_equal_cardinality(instance)
-    report = solve(extended, cfg)
+    if n < 1:
+        raise InvalidCardinalityError("need at least one element")
+    si = normalize_and_sort(instance)
+    values, perm = si.sorted_values, si.perm
+    p = bisect.bisect_right(values, 0)
+    zero = 0 if si.mode is Mode.EXACT_INT else 0.0
+    extended = SortedInstance(values[:p] + (zero,) * n + values[p:],
+                              perm[:p] + tuple(range(n, 2 * n)) + perm[p:], si.mode)
+    report = _solve_sorted(extended, cfg, None, t0)
     set1, set2 = report.original_set1, report.original_set2
     part1 = set1[:bisect.bisect_left(set1, n)]
     part2 = set2[:bisect.bisect_left(set2, n)]
+    report.metrics.wall_time_ns = time.perf_counter_ns() - t0
     return TraditionalResult(
         part1=part1,
         part2=part2,

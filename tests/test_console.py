@@ -42,14 +42,15 @@ def _digit(r):
 def paths(tmp_path_factory):
     """name -> path of each seeded input file.
 
-    2^14 uniform ints, two-decimal floats and {0..9} digits, 2^13 digits
-    twice, the ints behind a UTF-8 byte-order mark, and eight small ints.  The digits' sum is
-    odd, so every init ends at |d| = 1 and the certificate's gap pass walks
-    all ten value groups; the doubled digits end at d = 0, which the
-    certificate passes at once.
+    2^14 uniform ints, ints of either sign, two-decimal floats and {0..9}
+    digits, 2^13 digits twice, the ints behind a UTF-8 byte-order mark, and
+    eight small ints.  The digits' sum is odd, so every init ends at |d| = 1
+    and the certificate's gap pass walks all ten value groups; the doubled
+    digits end at d = 0, which the certificate passes at once.
     """
     texts = {
         "big": _draws(lambda r: str(r.randint(1, 10**9))),
+        "signed": _draws(lambda r: str(r.randint(-10**9, 10**9))),
         "floats": _draws(lambda r: f"{r.randint(1, 10**6) / 100:.2f}"),
         "digits": _draws(_digit),
         "twice": " ".join([_draws(_digit, 1 << 13)] * 2),
@@ -92,6 +93,21 @@ ROWS = [
     (["solve", "--init", "split", "--stats", "--input", "{big}"], None, 0,
      [("out", "match", "stats: traverses=1 swaps=4114 sign_changes=0 "
                        "candidate_evaluations=20498 wall_time_ns=[0-9]+")]),
+    # counters of sweeps that take runs of O(1) accepts in bulk, as the
+    # visits one at a time counted them: with side 1 the smallest value
+    # alone, each cursor swaps with the one before it; the padded negative
+    # inputs are distinct partners for the zeros
+    (["solve", "--init", "split", "--cardinality", "1", "--stats", "--input", "{big}"], None, 0,
+     [("out", "match", "stats: traverses=1 swaps=16383 sign_changes=0 "
+                       "candidate_evaluations=16384 wall_time_ns=[0-9]+")]),
+    (["solve-traditional", "--init", "split", "--stats", "--input", "{signed}"], None, 0,
+     [("out", "match", "stats: traverses=1 swaps=7956 sign_changes=0 "
+                       "candidate_evaluations=24915 wall_time_ns=[0-9]+")]),
+    # the dummy zeros are every partner of the split start, one tie group,
+    # which no run crosses
+    (["solve-traditional", "--init", "split", "--stats", "--input", "{big}"], None, 0,
+     [("out", "match", "stats: traverses=2 swaps=11593 sign_changes=1 "
+                       "candidate_evaluations=77130 wall_time_ns=[0-9]+")]),
     # the descent and the certificate on exact scaled ints
     *_solves("solve", ["floats"]),
     (["solve-traditional", "--verify", "--input", "{floats}"], None, 0, [PASS]),

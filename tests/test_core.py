@@ -956,16 +956,17 @@ def test_traditional_sweep_matches_reference_at_4096(cfg):
     rng = random.Random(4096)
     instance = Instance.from_values([rng.randint(1, 10**9) for _ in range(4096)])
     cfg = dataclasses.replace(cfg, collect_trace=True)
-
-    def outcome():
-        r = solve_traditional(instance, cfg)
-        rep = r.extended_report
-        return (r.part1, r.part2, rep.partition.in_set1, rep.partition.d, rep.trace,
-                dataclasses.replace(rep.metrics, wall_time_ns=0))
-
     with mock.patch.object(core, "run_traverse", linear_scan_sweep):
-        expected = outcome()
-    assert outcome() == expected
+        expected = _traditional_outcome(instance, cfg)
+    assert _traditional_outcome(instance, cfg) == expected
+
+
+def _traditional_outcome(instance, cfg):
+    """Everything solve_traditional decides, its padded solve's included."""
+    r = solve_traditional(instance, cfg)
+    rep = r.extended_report
+    return (r.part1, r.part2, rep.partition.in_set1, rep.partition.d, rep.trace,
+            dataclasses.replace(rep.metrics, wall_time_ns=0))
 
 
 _FLOAT_ALPHABET = (0.1, 0.3, 0.2, 0.6, 0.9, 1e-9, 3e-9, 7, 21)
@@ -1009,6 +1010,79 @@ def test_run_traverse_matches_the_linear_scan_on_seeded_states():
         expected = _descent(linear_scan_sweep, _copy_state(state))
         assert _descent(run_traverse, state) == expected, seed
     assert signs == {False, True}
+
+
+def _bulk_runs(outcome):
+    """outcome() and the number of runs run_traverse took in bulk meanwhile."""
+    with mock.patch.object(core, "_take_run", wraps=core._take_run) as take:
+        result = outcome()
+    return result, take.call_count
+
+
+_RUN_DRAWS = {
+    "ints": lambda rng, n: rng.randint(1, 10**9),
+    # about one draw in nine repeats an earlier one: tie groups in the runs
+    "ties": lambda rng, n: rng.randint(1, 4 * n),
+    "negative": lambda rng, n: rng.randint(-10**9, 10**9),
+    "floats": lambda rng, n: rng.randint(1, 10**6) / 100,
+}
+
+
+# Under equal cardinality e <= (N / 2) * span, so no run can pass the gate
+# e > 2 * _RUN_MIN * span below N = 4 * _RUN_MIN + 2; split init at 4096
+# is test_sweep_matches_reference_at_4096's split row.  A pinned k = N - 1
+# under split init leaves no opposing element below any cursor, so that
+# row takes alternating init, which starts a run above its one opposing
+# element.
+@pytest.mark.parametrize("family, n, init, card1", [
+    ("ints", 256, "split", None),
+    ("ints", 1024, "split", None),
+    ("ints", 128, "split", 1),
+    ("ints", 1024, "split", 1),
+    ("ints", 1024, "alternating", 1023),
+    ("ties", 1024, "split", None),
+    ("negative", 1024, "split", None),
+    ("floats", 1024, "split", None),
+])
+def test_bulk_runs_match_the_linear_scan(family, n, init, card1):
+    # every trace event, counter, membership and d of a solve whose runs of
+    # O(1) accepts are taken in bulk is the element-by-element scan's
+    rng = random.Random(n)
+    values = [_RUN_DRAWS[family](rng, n) for _ in range(n)]
+    cfg = SolverConfig(init_strategy=InitStrategy(init), collect_trace=True)
+    with mock.patch.object(core, "run_traverse", linear_scan_sweep):
+        expected = _solve_outcome(values, cfg, card1)
+    got, runs = _bulk_runs(lambda: _solve_outcome(values, cfg, card1))
+    assert got == expected
+    assert runs > 0
+
+
+@pytest.mark.parametrize("low", [-10**9, 1])
+def test_bulk_runs_match_the_linear_scan_in_solve_traditional(low):
+    # on positive inputs the split start's partners are the dummy zeros, one
+    # tie group, and no run is taken; negative inputs give distinct partners
+    rng = random.Random(1024)
+    instance = Instance.from_values([rng.randint(low, 10**9) for _ in range(1024)])
+    cfg = SolverConfig(init_strategy=InitStrategy.SPLIT_HALF, collect_trace=True)
+    with mock.patch.object(core, "run_traverse", linear_scan_sweep):
+        expected = _traditional_outcome(instance, cfg)
+    got, runs = _bulk_runs(lambda: _traditional_outcome(instance, cfg))
+    assert got == expected
+    assert (runs > 0) is (low < 0)
+
+
+def test_bulk_run_over_spread_cursors_matches_the_linear_scan():
+    # every third cell above the smaller side's block is a smaller-side
+    # cell, so each window of a run holds smaller-side cells between its
+    # cursors, which count one evaluation each
+    rng = random.Random(3)
+    values = tuple(sorted(rng.randint(1, 10**9) for _ in range(1024)))
+    in_set1 = [i < 400 or i % 3 == 0 for i in range(1024)]
+    state = PartitionState.from_membership(values, in_set1, Mode.EXACT_INT)
+    expected = _descent(linear_scan_sweep, _copy_state(state))
+    got, runs = _bulk_runs(lambda: _descent(run_traverse, state))
+    assert got == expected
+    assert runs > 0
 
 
 # (traverses, swaps, sign_changes, candidate_evaluations,

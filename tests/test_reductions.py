@@ -1,6 +1,8 @@
 """Tests for the dummy-zero reduction, pinned cardinalities, and the
 solver's equivariance under affine maps."""
 
+from dataclasses import replace
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -70,6 +72,31 @@ def test_solve_traditional_strips_exactly_the_dummies(values, cfg):
     n, report = len(values), res.extended_report
     assert res.part1 == tuple(i for i in report.original_set1 if i < n)
     assert res.part2 == tuple(i for i in report.original_set2 if i < n)
+
+
+@given(
+    st.one_of(
+        st.lists(st.integers(-3, 3), min_size=1, max_size=30),
+        st.lists(st.integers(-10**9, 10**9), min_size=1, max_size=60),
+        st.lists(st.sampled_from([0.0, -0.0, 0.5, -1.25, 3.0, 1e-9]), min_size=1, max_size=30),
+        st.lists(st.floats(-1e6, 1e6, allow_nan=False), min_size=1, max_size=30),
+    ),
+    st.sampled_from(ALL_STRATEGIES),
+)
+@settings(max_examples=300, deadline=None)
+def test_solve_traditional_sorts_n_values_as_the_padded_instance_sorts(values, cfg):
+    # the dummies spliced into the N sorted inputs give the report that
+    # solve gives on to_equal_cardinality's 2N values: genuine zeros, -0.0
+    # and negatives included, and float input padded with 0.0
+    instance = Instance.from_values(values)
+    cfg = SolverConfig(cfg.init_strategy, cfg.seed, collect_trace=True)
+    got = solve_traditional(instance, cfg).extended_report
+    want = solve(to_equal_cardinality(instance), cfg)
+    assert repr(got.sorted_instance) == repr(want.sorted_instance)
+    assert (got.original_set1, got.original_set2, got.partition, repr(got.objective),
+            got.trace) == (want.original_set1, want.original_set2, want.partition,
+                           repr(want.objective), want.trace)
+    assert replace(got.metrics, wall_time_ns=0) == replace(want.metrics, wall_time_ns=0)
 
 
 def _traditional_result(values, part1):
