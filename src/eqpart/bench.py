@@ -25,7 +25,6 @@ from .core import (
     Instance,
     InternalConsistencyError,
     Mode,
-    OverflowGuardError,
     SolverConfig,
     solve,
 )
@@ -85,12 +84,8 @@ def generate(spec: GeneratorSpec) -> Instance:
     import random
 
     if spec.family == "geometric":
-        # scale * ratio^k; floats unless Instance takes the terms as ints
-        vals = tuple(spec.p2 * spec.p1**k for k in range(spec.n))
-        try:
-            return Instance(vals, Mode.EXACT_INT)
-        except OverflowGuardError:
-            return Instance(vals, Mode.FLOAT64)
+        # scale * ratio^k: exact ints when ratio and scale are ints, else floats
+        return Instance.from_values(spec.p2 * spec.p1**k for k in range(spec.n))
     # every other family draws from one range: integers when both ends are ints
     if spec.family == "uniform_int":
         lo, hi = int(spec.p1), int(spec.p2)

@@ -2,11 +2,11 @@
 
 Exit codes: 0 success, 1 malformed input or unwritable output (--out, a
 closed stdout), 2 constraint violation (odd N, cardinality range, oracle
-cap, a sum past the 2^62 integer guard), 3 internal invariant failure.  A
-token the mode rejects, a literal past 2^62 or a non-finite float included,
-is malformed input and names its line and column.  main maps errors by base
-class, in order: InputFormatError 1, InternalConsistencyError 3, any other
-PartitionError or a ValueError 2.
+cap, a float sum past the float range), 3 internal invariant failure.  A
+token the mode rejects, an integer past int()'s 4300 digits or a non-finite
+float included, is malformed input and names its line and column.  main
+maps errors by base class, in order: InputFormatError 1,
+InternalConsistencyError 3, any other PartitionError or a ValueError 2.
 """
 
 from __future__ import annotations
@@ -29,7 +29,6 @@ from .core import (
     OverflowGuardError,
     PartitionError,
     SolverConfig,
-    SUM_GUARD,
     excerpt,
     is_locally_optimal_pairswap,
     solve,
@@ -75,8 +74,8 @@ def parse_input(data: bytes, mode: Mode | None = None) -> Instance:
             return Instance(tuple(map(int, tokens)) if mode is Mode.EXACT_INT
                             else tuple(tokens), mode)
         except (OverflowGuardError, ValueError) as exc:
-            refusal = exc  # int()'s digit limit, a guard, or a non-finite float
-    # a sum past a guard is no one token's fault: Instance's own error stands
+            refusal = exc  # int()'s digit limit, a float sum, or a non-finite float
+    # a float sum past the range is no one token's fault: Instance's error stands
     raise _first_bad_token(text, mode) or refusal
 
 
@@ -94,10 +93,6 @@ def _first_bad_token(text: str, mode: Mode) -> InputFormatError | None:
             if not pattern.fullmatch(tok):
                 return InputFormatError(f"{where}: {excerpt(tok)} is not {kind}")
             if exact:
-                digits = tok.lstrip("+-").lstrip("0")  # 2^62 has 19 digits
-                if len(digits) > 19 or int(digits or "0") >= SUM_GUARD:
-                    return InputFormatError(
-                        f"{where}: {excerpt(tok)} exceeds the 2^62 integer guard")
                 try:
                     int(tok)
                 except ValueError:  # int()'s digit limit counts leading zeros too
@@ -123,6 +118,20 @@ def _read_instance(args) -> Instance:
 
 def _config_from_args(args) -> SolverConfig:
     return SolverConfig(init_strategy=InitStrategy(args.init), seed=args.seed)
+
+
+def _print_unlimited(render) -> None:
+    """Print render()'s text with int()'s str limit lifted for the render
+    alone: an objective of two values under the 4300-digit parse limit can
+    have 4301 digits.  The old limit is back before the print, so a parse
+    after it, in this process too, keeps the limit."""
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        text = render()
+    finally:
+        sys.set_int_max_str_digits(limit)
+    print(text)
 
 
 def _cmd_solve(args) -> int:
@@ -153,29 +162,29 @@ def _cmd_solve(args) -> int:
     set1, set2 = ([instance.values[i] for i in idx] for idx in sides)
     metrics = dataclasses.asdict(report.metrics)
     del metrics["max_traverse_evaluations"]
-    if args.format == "json":
-        payload = {
-            "objective": objective,
-            "set1": set1,
-            "set2": set2,
-            "metrics": metrics,
-        }
-        if verified is not None:
-            payload["verified"] = verified
-        if exact_min is not None:
-            payload["exact_min"] = exact_min
-        print(json.dumps(payload))
-    else:
-        print(f"objective: {objective}")
+
+    def render():
+        if args.format == "json":
+            payload = {"objective": objective, "set1": set1, "set2": set2, "metrics": metrics}
+            if verified is not None:
+                payload["verified"] = verified
+            if exact_min is not None:
+                payload["exact_min"] = exact_min
+            return json.dumps(payload)
+        lines = [f"objective: {objective}"]
         for name, vals, idx in zip(("set1", "set2"), (set1, set2), sides):
-            print(f"{name}: {' '.join(map(str, vals))}  (indices {' '.join(map(str, idx))})")
+            lines.append(f"{name}: {' '.join(map(str, vals))}  "
+                         f"(indices {' '.join(map(str, idx))})")
         if verified is not None:
-            print(f"verified: {'PASS' if verified else 'FAIL'}")
+            lines.append(f"verified: {'PASS' if verified else 'FAIL'}")
         if exact_min is not None:
             status = "globally optimal" if objective == exact_min else "locally optimal only"
-            print(f"exact_min: {exact_min} ({status})")
+            lines.append(f"exact_min: {exact_min} ({status})")
         if args.stats:
-            print("stats: " + " ".join(f"{k}={v}" for k, v in metrics.items()))
+            lines.append("stats: " + " ".join(f"{k}={v}" for k, v in metrics.items()))
+        return "\n".join(lines)
+
+    _print_unlimited(render)
     return 3 if verified is False else 0
 
 
@@ -183,11 +192,11 @@ def _cmd_oracle(args) -> int:
     from .oracle import oracle_result
     res = oracle_result(_read_instance(args))
     if args.format == "json":
-        print(json.dumps(dataclasses.asdict(res)))
+        _print_unlimited(lambda: json.dumps(dataclasses.asdict(res)))
     else:
-        print(f"exact_min: {res.exact_min}")
-        print(f"local_optima: {' '.join(str(v) for v in res.local_optima)}")
-        print(f"partitions_enumerated: {res.num_partitions_enumerated}")
+        _print_unlimited(lambda: f"exact_min: {res.exact_min}\n"
+                                 f"local_optima: {' '.join(map(str, res.local_optima))}\n"
+                                 f"partitions_enumerated: {res.num_partitions_enumerated}")
     return 0
 
 

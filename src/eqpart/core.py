@@ -12,7 +12,7 @@ restarts the sweep; a completed sweep (or an exact zero) terminates.
 One numeric path: the descent runs on exact Python ints, the input's own
 or, for floats, the input times one power of two (scaled_ints), which solve
 reports; only the objective is in input units.  Instance alone decides which
-inputs are accepted (SUM_GUARD for ints, a finite 4 * sum for floats).
+inputs are accepted (ints of any size, floats with a finite 4 * sum).
 """
 
 from __future__ import annotations
@@ -26,10 +26,6 @@ import random
 import time
 from dataclasses import dataclass
 from typing import ClassVar, Optional
-
-# The documented input limit for ints: sum(|x|) must stay below this.  The
-# descent itself runs on unbounded Python ints; only Instance checks it.
-SUM_GUARD = 1 << 62
 
 
 def excerpt(x) -> str:
@@ -81,7 +77,8 @@ class InvalidCardinalityError(PartitionError):
 
 
 class OverflowGuardError(PartitionError):
-    """Exact-integer inputs exceed the overflow guard."""
+    """A non-int (or a bool) in exact-integer mode, or a float input whose
+    4 * sum(|x|) leaves the float range."""
 
 
 class InternalConsistencyError(PartitionError):
@@ -92,9 +89,9 @@ class InternalConsistencyError(PartitionError):
 @dataclass(frozen=True)
 class Instance:
     """Input multiset with original positions preserved, and the one check of
-    which numbers are accepted: ints (not bools) with sum(|x|) < SUM_GUARD,
-    or values float() makes finite, with 4 * sum(|x|) finite so every d in
-    input units is.  The error names the first bad value, else the sum."""
+    which numbers are accepted: ints (not bools) of any size, or values
+    float() makes finite, with 4 * sum(|x|) finite so every d in input units
+    is.  The error names the first bad value, else the float sum."""
 
     values: tuple
     mode: Mode
@@ -103,18 +100,13 @@ class Instance:
         # Bulk checks first; the loops only run to name the first bad value.
         values = self.values
         if self.mode is Mode.EXACT_INT:
-            if set(map(type, values)) <= {int} and sum(map(abs, values)) < SUM_GUARD:
+            if set(map(type, values)) <= {int}:
                 return
             for x in values:
                 if not isinstance(x, int) or isinstance(x, bool):
                     raise OverflowGuardError(
                         f"exact-integer mode requires int values, got {excerpt(x)}"
                     )
-                if abs(x) >= SUM_GUARD:
-                    raise OverflowGuardError(f"|{excerpt(x)}| exceeds the 2^62 guard")
-            total = sum(map(abs, values))
-            if total >= SUM_GUARD:
-                raise OverflowGuardError(f"sum of |values| = {total} exceeds the 2^62 guard")
         else:
             try:
                 floats = tuple(map(float, values))
@@ -640,7 +632,8 @@ def solve(
     Repeats sweeps until one completes without a sign flip (or the
     difference hits zero).  The nontermination guard enforces N+2 sweeps,
     raising InternalConsistencyError past it; no proof of that bound is
-    known, and the most measured is 9 sweeps at N = 32 (by hill-climbing).
+    known, and the most measured is 13 sweeps at N = 2^17 (random 128-bit
+    ints, alternating init).
     """
     t0 = time.perf_counter_ns()
     return _solve_sorted(normalize_and_sort(instance), cfg, card1, t0)

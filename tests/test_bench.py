@@ -51,7 +51,8 @@ def test_generate_geometric():
     inst = generate(GeneratorSpec("geometric", 5, 0, 2, 3))
     assert inst.values == (3, 6, 12, 24, 48)
     big = generate(GeneratorSpec("geometric", 80, 0, 2, 1))
-    assert big.mode is Mode.FLOAT64  # would overflow the integer guard
+    assert big.mode is Mode.EXACT_INT  # terms past 2^62 stay exact
+    assert big.values == tuple(1 << k for k in range(80))
 
 
 def test_generate_determinism():
@@ -76,7 +77,7 @@ GENERATE_CASES = [
     ("geometric", 1.001, 10**6), ("geometric", 2, 3), ("geometric", 1.5, 0.25),
     ("geometric", 3, 1),
 ]
-GENERATE_DIGEST = "1742191eaccfc4dec57a40859234e11c565660224605c2a4baae47fafc774bfc"
+GENERATE_DIGEST = "095487d561f0614423455cc6e547cdd0e1a2a639daf656836dc37d14d7cd4916"
 
 
 def test_generate_output_is_pinned():

@@ -20,7 +20,7 @@ from hypothesis import given, settings, strategies as st
 import eqpart
 from eqpart import cli, core
 from eqpart.cli import InputFormatError, main, parse_input
-from eqpart.core import SUM_GUARD, Instance, InternalConsistencyError, Mode, PartitionError
+from eqpart.core import Instance, InternalConsistencyError, Mode, PartitionError
 from conftest import run_cli
 
 
@@ -64,14 +64,15 @@ def test_parse_empty_input():
 
 
 def test_parse_integer_overflow():
-    with pytest.raises(InputFormatError, match="guard"):
-        parse_input(str(1 << 63).encode(), Mode.EXACT_INT)
+    # an int has no size limit short of int()'s 4300 digits
+    assert parse_input(str(1 << 63).encode(), Mode.EXACT_INT).values == (1 << 63,)
 
 
 @pytest.mark.parametrize(
     "token, message",
-    [("9" * 5000, "exceeds the 2^62 integer guard"),
-     ("-" + "0" * 5000 + "9" * 20, "exceeds the 2^62 integer guard"),
+    [("9" * 5000, "integer token of 5000 characters is too long"),
+     ("-" + "0" * 5000 + "9" * 20, "integer token of 5021 characters is too long"),
+     ("7" * 4301, "integer token of 4301 characters is too long"),
      ("0" * 5000 + "1", "integer token of 5001 characters is too long"),
      ("8" * 5000 + ".5", "'8888888888888888888888888888888888888888'... (5002 characters) "
                          "is not finite"),
@@ -132,16 +133,10 @@ def reference_parse_input(data: bytes, mode: Mode | None = None) -> Instance:
             try:
                 v = int(tok)
             except ValueError:  # past int()'s digit limit, leading zeros included
-                if len(tok.lstrip("+-").lstrip("0")) <= 19:
-                    raise InputFormatError(
-                        f"line {ln}, column {col}: integer token of {len(tok)} characters "
-                        "is too long"
-                    )
-                v = SUM_GUARD  # at least 20 significant digits
-            if abs(v) >= SUM_GUARD:
                 raise InputFormatError(
-                    f"line {ln}, column {col}: {_echo(tok)} exceeds the 2^62 integer guard"
-                )
+                    f"line {ln}, column {col}: integer token of {len(tok)} characters "
+                    "is too long"
+                ) from None
         else:
             if not _FLOAT_TOKEN.fullmatch(tok):
                 raise InputFormatError(f"line {ln}, column {col}: {_echo(tok)} is not a number")
@@ -160,11 +155,11 @@ def _parse_outcome(parse, data, mode):
     return inst.mode, [(type(v), repr(v)) for v in inst.values]
 
 
-_GUARD_EDGES = [str(v) for v in (SUM_GUARD - 1, -(SUM_GUARD - 1), SUM_GUARD, -SUM_GUARD)]
+_WIDE_INTS = [str(v) for v in ((1 << 62) - 1, -(1 << 62) + 1, 1 << 62, -1 << 62)]
 _PARSE_PIECES = st.sampled_from([
     "0", "7", "-3", "+4", "-0", "1_0", "2.5", ".5", "5.", "-0.0", "1e3", "2E-2", "1e+5",
     "1e999", "-1e999", "1e-400", "inf", "nan", "x", "+", "-", ".", "e", "\u0663", "\uff15",
-    "\u0661\u0662", "\u0663.\u0665", "\u00b2", *_GUARD_EDGES, "9" * 25, "8" * 4301, "0" * 4301 + "8",
+    "\u0661\u0662", "\u0663.\u0665", "\u00b2", *_WIDE_INTS, "9" * 25, "8" * 4301, "0" * 4301 + "8",
     " ", "  ", "\t", ",", ", ", "\n", "\r\n", "\x0b", "\x1c", "\x85", "\u2028", "\xa0",
     "\n# a comment, 1.5 x\n", "\n   # indented comment\n", "#", " #7 ",
 ])
@@ -254,7 +249,7 @@ def test_verify_is_exact_past_2_53(capsys, monkeypatch):
     assert "exact_min: 1152921504606846933 (globally optimal)" in out
 
 
-_TOP = str(SUM_GUARD - 1)
+_TOP = str((1 << 62) - 1)
 
 
 @pytest.mark.parametrize(
@@ -262,20 +257,47 @@ _TOP = str(SUM_GUARD - 1)
     [(["solve"], "1e308 1e308 1e308 1e308",
       "error: sum of |values| = inf is too large for float mode (4 * sum must be finite)"),
      (["bench", "--family", "geometric", "--p1", "1e6", "--sizes", "16,32,64,128"], None,
-      "error: largest geometric term 1e+06 * 1e+06^63 is not a finite float"),
-     *[([cmd], f"{_TOP} {_TOP}",
-        "error: sum of |values| = 9223372036854775806 exceeds the 2^62 guard")
-       for cmd in ("solve", "verify", "solve-traditional")],
-     # the guard is named before the odd N the oracle would refuse
-     (["oracle"], f"{_TOP} {_TOP} 1",
-      "error: sum of |values| = 9223372036854775807 exceeds the 2^62 guard")],
+      "error: largest geometric term 1e+06 * 1e+06^63 is not a finite float")],
 )
 def test_float_range_exit_2(capsys, monkeypatch, argv, stdin_text, message):
-    # the float cases ended in an OverflowError traceback; a sum past a guard
-    # is no one token's fault, so it is Instance's own message, not a position
+    # the float cases ended in an OverflowError traceback; a sum past the
+    # float range is no one token's fault, so it is Instance's own message
     code, out, err = run_cli(capsys, argv, stdin_text, monkeypatch)
     assert code == 2
     assert out == "" and err == message + "\n"
+
+
+@pytest.mark.parametrize(
+    "argv, stdin_text, code, message",
+    [*[pytest.param([cmd, "--verify"], f"{_TOP} {_TOP}", 0, "", id=cmd)
+       for cmd in ("solve", "verify", "solve-traditional")],
+     # the oracle refuses the odd N, not the sum
+     pytest.param(["oracle"], f"{_TOP} {_TOP} 1", 2,
+                  "error: equal-cardinality solving needs even N >= 2, got N=3\n", id="oracle")],
+)
+def test_int_sum_past_2_62_is_no_error(capsys, monkeypatch, argv, stdin_text, code, message):
+    got, out, err = run_cli(capsys, argv, stdin_text, monkeypatch)
+    assert (got, err) == (code, message)
+    if code == 0:
+        assert out.splitlines()[0] == "objective: 0" and "verified: PASS" in out.splitlines()
+
+
+_NINES = "9" * 4300  # the longest token int() converts
+
+
+@pytest.mark.parametrize("fmt", ["text", "json"])
+@pytest.mark.parametrize("command", ["solve", "oracle"])
+def test_objective_past_int_str_limit_prints_exactly(capsys, monkeypatch, command, fmt):
+    # |(-x) - x| has 4301 digits, one past the limit of str(int); the render
+    # lifts the limit and restores it, so parsing keeps it
+    limit = sys.get_int_max_str_digits()
+    code, out, err = run_cli(capsys, [command, "--format", fmt], f"-{_NINES} {_NINES}",
+                             monkeypatch)
+    assert (code, err) == (0, "")
+    key = "objective" if command == "solve" else "exact_min"
+    first = f'{{"{key}": ' if fmt == "json" else f"{key}: "
+    assert out.startswith(first + "1" + "9" * 4299 + "8" + (", " if fmt == "json" else "\n"))
+    assert sys.get_int_max_str_digits() == limit
 
 
 def test_solve_odd_n_exit_2(capsys, monkeypatch):
@@ -725,16 +747,16 @@ def test_exit_code_follows_the_error_base_class(capsys, monkeypatch, error):
 
 
 def test_bench_huge_integer_family_message_is_short(capsys):
-    # near-equal with integral 1e300 parameters draws 301-digit integers; the
-    # guard error names the first one cut to 40 digits and its length
+    # near-equal with integral 1e300 parameters draws 301-digit integers,
+    # which the descent solves exactly; the fit's slope is a float
     code, out, err = run_cli(
         capsys, ["bench", "--family", "near-equal", "--p1", "1e300", "--p2", "1e300",
-                 "--sizes", "16,32,64,128", "--reps", "1"],
+                 "--sizes", "16,32,64,128", "--reps", "1", "--format", "json"],
     )
-    assert code == 2 and out == ""
-    assert err.startswith("error: |")
-    assert err.endswith("... (301 characters)| exceeds the 2^62 guard\n")
-    assert len(err) < 100
+    assert (code, err) == (0, "")
+    report = json.loads(out)
+    assert isinstance(report["slope"], float)
+    assert all(type(run["objective"]) is int for run in report["runs"])
 
 
 @pytest.mark.parametrize(

@@ -83,10 +83,9 @@ ROWS = [
     (["solve-traditional", "--verify", "--format", "json"], "1 2 3", 0,
      [("out", "has", '"verified": true')]),
     (["solve", "--input", "{eight}", "--format", "json"], None, 0, [("out", "has", '"objective"')]),
-    # one literal past the guard is malformed input: exit 1, naming its line and column
-    (["solve"], "4611686018427387904 1", 1,
-     [("err", "is", "error: line 1, column 1: '4611686018427387904' exceeds the 2^62 "
-                    "integer guard\n")]),
+    # an int has no size limit: 2^62 and 1 solve exactly
+    (["solve"], "4611686018427387904 1", 0,
+     [("out", "line", "objective: 4611686018427387903"), ("err", "is", "")]),
     # each init's last sweep rejects most cursors by their gap
     *_solves("solve", ["big"]),
     # split init's counters as the element-by-element partner scan counted them

@@ -25,7 +25,6 @@ from eqpart.core import (
     Mode,
     OverflowGuardError,
     PartitionState,
-    SUM_GUARD,
     SolverConfig,
     SwapEvent,
     TraverseOutcome,
@@ -64,8 +63,8 @@ def test_instance_mode_autodetect():
 
 
 def test_instance_guards():
-    with pytest.raises(OverflowGuardError):
-        Instance((1 << 62,), Mode.EXACT_INT)
+    # an int has no size limit; a float in int mode, or a nan, is refused
+    assert Instance((1 << 62,), Mode.EXACT_INT).values == (1 << 62,)
     with pytest.raises(OverflowGuardError):
         Instance((1.5,), Mode.EXACT_INT)
     with pytest.raises(ValueError):
@@ -78,38 +77,34 @@ class _Small(enum.IntEnum):
 
 def test_instance_int_validation_names_first_bad_value():
     assert Instance((1, _Small.TWO), Mode.EXACT_INT).values == (1, _Small.TWO)
-    top = SUM_GUARD - 1
-    assert Instance((top, 0), Mode.EXACT_INT).values == (top, 0)
-    assert Instance((-top,), Mode.EXACT_INT).values == (-top,)
-    # every value passes on its own, their sum does not; a bad value still
-    # comes first
-    with pytest.raises(OverflowGuardError,
-                       match=rf"^sum of \|values\| = {2 * top} exceeds the 2\^62 guard$"):
-        Instance((top, -top), Mode.EXACT_INT)
-    with pytest.raises(OverflowGuardError,
-                       match=rf"^sum of \|values\| = {top + 3} exceeds the 2\^62 guard$"):
-        Instance((top, _Small.TWO, 1), Mode.EXACT_INT)
+    top = (1 << 62) - 1
+    # ints are kept as they are, at any size and any sum
+    for values in ((top, 0), (-top,), (top, -top), (top, _Small.TWO, 1), (0, 1 << 62),
+                   (0, -1 << 62), (0, 10**300), (0, 10**5000)):
+        assert Instance(values, Mode.EXACT_INT).values == values
+    # the first value that is not an int, or is a bool, is named
     with pytest.raises(OverflowGuardError, match="got True"):
         Instance((top, top, True), Mode.EXACT_INT)
     with pytest.raises(OverflowGuardError, match="got True"):
         Instance((1, True), Mode.EXACT_INT)
     with pytest.raises(OverflowGuardError, match="got True"):
-        Instance((1, True, 2.5, SUM_GUARD), Mode.EXACT_INT)
+        Instance((1, True, 2.5, 1 << 62), Mode.EXACT_INT)
     with pytest.raises(OverflowGuardError, match="got 2.5"):
         Instance((1, 2.5, True), Mode.EXACT_INT)
-    for bad in (SUM_GUARD, -SUM_GUARD):
-        with pytest.raises(OverflowGuardError, match=rf"^\|{bad}\| exceeds the 2\^62 guard$"):
-            Instance((0, bad, True), Mode.EXACT_INT)
+    for big in (1 << 62, -1 << 62):
+        with pytest.raises(OverflowGuardError, match="^exact-integer mode requires int "
+                                                     "values, got True$"):
+            Instance((0, big, True), Mode.EXACT_INT)
     with pytest.raises(OverflowGuardError, match="got True"):
-        Instance((0, True, SUM_GUARD), Mode.EXACT_INT)
-    # a huge value is cut to 40 characters and its length; one too long for
-    # str() is named by its bit length
+        Instance((0, True, 1 << 62), Mode.EXACT_INT)
+    # a long value is cut to 40 characters and its length; an int too long
+    # for str() is named by its bit length
     with pytest.raises(OverflowGuardError,
-                       match=r"^\|10{39}\.\.\. \(301 characters\)\| exceeds the 2\^62 guard$"):
-        Instance((0, 10**300), Mode.EXACT_INT)
-    with pytest.raises(OverflowGuardError,
-                       match=r"^\|an integer of 16610 bits\| exceeds the 2\^62 guard$"):
-        Instance((0, 10**5000), Mode.EXACT_INT)
+                       match=r"^exact-integer mode requires int values, got '1{40}'\.\.\. "
+                             r"\(301 characters\)$"):
+        Instance((0, "1" * 301), Mode.EXACT_INT)
+    with pytest.raises(ValueError, match="^an integer of 16610 bits is not a float$"):
+        Instance((10**5000,), Mode.FLOAT64)
 
 
 def test_instance_float_validation_names_first_bad_value():
@@ -143,11 +138,11 @@ def test_empty_instance_constructs():
 
 
 def test_sum_overflow_guard():
-    # Instance refuses the sum itself; nothing downstream checks it again
+    # a sum of ints past 2^62 is kept, and the descent solves it exactly
     n = 8
     big = (1 << 61) - 1
-    with pytest.raises(OverflowGuardError, match=f"^sum of \\|values\\| = {n * big} exceeds"):
-        Instance((big,) * n, Mode.EXACT_INT)
+    report = solve(Instance((big,) * n, Mode.EXACT_INT))
+    assert report.objective == 0 and is_locally_optimal_pairswap(report.partition)
     assert len(Instance((big, -big - 1), Mode.EXACT_INT)) == 2
 
 
@@ -276,9 +271,9 @@ def test_unknown_init_strategy_is_a_value_error():
 
 @st.composite
 def _memberships(draw):
-    """Values up to 2^62 / N in size, negatives included, and any membership."""
+    """Values up to 2^100 / N in size, negatives included, and any membership."""
     n = draw(st.integers(1, 60))
-    big = SUM_GUARD // n
+    big = (1 << 100) // n
     values = draw(st.lists(st.one_of(st.integers(-big + 1, big - 1), st.integers(-5, 5),
                                      st.sampled_from([big - 1, 1 - big])),
                            min_size=n, max_size=n))
@@ -1511,6 +1506,29 @@ def test_solve_lands_on_an_enumerated_local_optimum(values, strategy_idx):
     assert r.objective in local_optima_set(inst)
 
 
+@st.composite
+def _wide_int_lists(draw):
+    """2 to 10 ints, an even count, of 64 to 4096 bits: one near a power of
+    two, the rest near it too (near-equal swaps) or anywhere up to it, of
+    either sign."""
+    top = 1 << draw(st.sampled_from([64, 65, 128, 1024, 4096]))
+    near = st.integers(top - 50, top + 50)
+    n = draw(st.sampled_from([2, 4, 6, 8, 10]))
+    return [draw(near)] + draw(st.lists(near | st.integers(-top, top),
+                                        min_size=n - 1, max_size=n - 1))
+
+
+@given(_wide_int_lists())
+@settings(max_examples=100, deadline=None)
+def test_ints_past_2_62_agree_with_the_oracle(values):
+    inst = Instance(tuple(values), Mode.EXACT_INT)
+    optima = local_optima_set(inst)
+    for cfg in ALL_STRATEGIES:
+        r = solve(inst, cfg)
+        assert pairswap_witness(r.partition) is None
+        assert r.objective in optima
+
+
 # a four-letter alphabet makes tie groups below the floor the common case
 small_alphabet_lists = st.lists(st.integers(0, 3), min_size=4, max_size=16).filter(
     lambda v: len(v) % 2 == 0
@@ -1526,8 +1544,8 @@ def test_window_scan_is_sound(values, strategy_idx):
 
 @given(
     st.lists(st.integers(0, 10**4), min_size=4, max_size=12).filter(lambda v: len(v) % 2 == 0),
-    st.sampled_from([2, 3, 10]),
-    st.sampled_from([-10**4, 0, 7]),
+    st.sampled_from([2, 3, 10, 2**100 + 1]),
+    st.sampled_from([-10**4, 0, 7, 3**200]),
     st.sampled_from(range(4)),
 )
 @settings(max_examples=150, deadline=None)
@@ -1539,6 +1557,8 @@ def test_affine_argmin_invariance(values, alpha, beta, strategy_idx):
     )
     assert shifted.partition.in_set1 == base.partition.in_set1
     assert shifted.objective == alpha * base.objective
+    for counter in ("swaps", "traverses", "candidate_evaluations"):
+        assert getattr(shifted.metrics, counter) == getattr(base.metrics, counter)
 
 
 def test_report_is_picklable():
