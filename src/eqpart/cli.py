@@ -39,6 +39,10 @@ class InputFormatError(PartitionError):
     """Malformed input text; message carries line and column."""
 
 
+# ASCII digits, the six bytes bytes.split() splits on, and commas: on these
+# bytes.split and str.split agree, and int() of a bytes token keeps the
+# 4300-digit limit, so such input parses from the bytes as it would from text
+_PLAIN_INT_BYTES = b"0123456789 \t\n\r\x0b\x0c,"
 _INT_TOKEN = re.compile(r"[+-]?\d+")
 # no two quantifiers can split one digit run, so a failed match is linear
 _FLOAT_TOKEN = re.compile(r"[+-]?(?:\d+(?:\.\d*)?|\.\d+)(?:[eE][+-]?\d+)?")
@@ -54,7 +58,20 @@ def parse_input(data: bytes, mode: Mode | None = None) -> Instance:
     Tokenizes and converts in bulk passes (str.split and the regex \\s agree
     on whitespace); only a failed check runs the line scan that locates it.
     A UTF-8 byte-order mark at the start is dropped.
+
+    Outside float mode, input of ASCII digits, whitespace and commas alone
+    is split and converted as bytes: no decoded copy, no isdecimal pass,
+    and bytes tokens are smaller than str ones.  Empty input, or a token
+    past int()'s digit limit, falls through to the text path, which
+    reports it; so does every other input, unchanged.
     """
+    if mode is not Mode.FLOAT64 and not data.translate(None, _PLAIN_INT_BYTES):
+        tokens = data.replace(b",", b" ").split()
+        if tokens:
+            try:
+                return Instance(tuple(map(int, tokens)), Mode.EXACT_INT)
+            except ValueError:
+                pass  # int()'s digit limit: the text path names the token
     try:
         text = data.decode("utf-8-sig")
     except UnicodeDecodeError as exc:
@@ -151,6 +168,7 @@ def _cmd_solve(args) -> int:
         result = solve_traditional(instance, cfg)
         report, objective, sides = (result.extended_report, result.objective,
                                     (result.part1, result.part2))
+        del result
     else:
         report = solve(instance, cfg, card1=args.cardinality)
         objective, sides = report.objective, (report.original_set1, report.original_set2)
@@ -162,6 +180,11 @@ def _cmd_solve(args) -> int:
     set1, set2 = ([instance.values[i] for i in idx] for idx in sides)
     metrics = dataclasses.asdict(report.metrics)
     del metrics["max_traverse_evaluations"]
+    # the render reads none of these, and only text prints indices: freed
+    # here, what the solve built is gone before the output text is built
+    del report, instance
+    if args.format == "json":
+        del sides
 
     def render():
         if args.format == "json":

@@ -641,7 +641,11 @@ def solve(
 
 def _solve_sorted(si: SortedInstance, cfg: SolverConfig, card1: Optional[int],
                   t0: int) -> SolveReport:
-    """solve from its sorted instance on; wall_time_ns counts from t0."""
+    """solve from its sorted instance on; wall_time_ns counts from t0.
+
+    The reported index tuples hold si.perm's own int objects, gathered in
+    input order, not fresh ints from a range: the report holds each index
+    once, and the scatter allocates no int per index."""
     state = init_partition(si, cfg, card1)
     metrics = Metrics()
     trace = [] if cfg.collect_trace else None
@@ -658,8 +662,11 @@ def _solve_sorted(si: SortedInstance, cfg: SolverConfig, card1: Optional[int],
     member = [False] * len(si)  # side 1 scattered back to input order
     for i in itertools.compress(si.perm, state.in_set1):
         member[i] = True
-    set1 = tuple(itertools.compress(range(len(si)), member))
-    set2 = tuple(itertools.filterfalse(member.__getitem__, range(len(si))))
+    index = [None] * len(si)  # perm's own ints, in input order
+    for i in si.perm:
+        index[i] = i
+    set1 = tuple(itertools.compress(index, member))
+    set2 = tuple(itertools.compress(index, map(operator.not_, member)))
     metrics.wall_time_ns = time.perf_counter_ns() - t0
     return SolveReport(
         partition=state,

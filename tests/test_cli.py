@@ -11,11 +11,12 @@ import random
 import re
 import subprocess
 import sys
+import weakref
 from collections import Counter
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import eqpart
 from eqpart import cli, core
@@ -175,6 +176,38 @@ def test_parse_matches_line_scan_reference(pieces, bad, at, mode):
     # values (with their types), mode, or exception type and message all agree
     data = "".join(pieces).encode()
     data = data[:at] + bad + data[at:]
+    assert _parse_outcome(parse_input, data, mode) == _parse_outcome(
+        reference_parse_input, data, mode
+    )
+
+
+# parse_input's bytes path takes input of these bytes alone, outside float
+# mode; its neighbours, which the text path splits on or refuses, go there
+_GATE_PIECES = st.sampled_from([
+    b"0", b"7", b"42", b"007", b"000", b"1000000000", b"9" * 4300, b"0" * 4299 + b"5",
+    b"9" * 4301, b"0" * 4300 + b"5", b" ", b"  ", b"\t", b"\n", b"\r", b"\r\n", b"\x0b",
+    b"\x0c", b",", b", ", b",,",
+])
+_GATE_NEIGHBOURS = st.sampled_from([
+    b"\x1c", b"\x1d", b"\x1e", b"\x1f", b"\x85", "\x85".encode(), b"\xa0", "\xa0".encode(),
+    "\u3000".encode(), b"\xef\xbb\xbf", b"#", b"+", b"-", b"_", "\u0663".encode(),
+])
+
+
+@given(st.lists(_GATE_PIECES, max_size=14),
+       st.lists(st.tuples(st.integers(0, 14), _GATE_NEIGHBOURS), max_size=2),
+       st.sampled_from([None, Mode.EXACT_INT, Mode.FLOAT64]))
+@example(pieces=[], neighbours=[], mode=None)
+@example(pieces=[b" \t\r\n\x0b\x0c,"], neighbours=[], mode=Mode.EXACT_INT)
+@example(pieces=[b"7", b"\n", b"9" * 4301], neighbours=[], mode=None)
+@example(pieces=[b"7", b"\n", b"8"], neighbours=[(1, b"\x1c")], mode=None)
+@example(pieces=[b"1", b"0"], neighbours=[(1, b"_")], mode=None)  # int() takes 1_0
+@settings(max_examples=400, deadline=None)
+def test_parse_bytes_path_matches_line_scan_reference(pieces, neighbours, mode):
+    # values (with their types), mode, or exception type and message all agree
+    for at, piece in neighbours:
+        pieces.insert(at, piece)
+    data = b"".join(pieces)
     assert _parse_outcome(parse_input, data, mode) == _parse_outcome(
         reference_parse_input, data, mode
     )
@@ -473,6 +506,39 @@ def test_oracle_cap_refuses_before_the_solve(capsys, monkeypatch, argv, n, messa
     monkeypatch.setattr(reductions, "solve_traditional", unreachable)
     code, out, err = run_cli(capsys, argv, " ".join(map(str, range(1, n + 1))), monkeypatch)
     assert (code, out, err) == (2, "", f"error: {message}\n")
+
+
+@pytest.mark.parametrize("fmt", ["text", "json"])
+@pytest.mark.parametrize("command", ["solve", "verify", "solve-traditional"])
+def test_render_runs_after_the_solve_is_freed(capsys, monkeypatch, command, fmt):
+    # the render reads the value lists, metrics and verdict alone: the
+    # report, and solve_traditional's result, are freed before it runs
+    from eqpart import reductions
+    refs = []
+
+    def keep(solver):
+        def solve_and_keep(*args, **kwargs):
+            out = solver(*args, **kwargs)
+            refs.append(weakref.ref(out))
+            if isinstance(out, reductions.TraditionalResult):
+                refs.append(weakref.ref(out.extended_report))
+            return out
+        return solve_and_keep
+
+    monkeypatch.setattr(cli, "solve", keep(cli.solve))
+    monkeypatch.setattr(reductions, "solve_traditional", keep(reductions.solve_traditional))
+    print_unlimited, alive = cli._print_unlimited, []
+
+    def checked(render):
+        def render_after_check():
+            alive.extend(ref() is not None for ref in refs)
+            return render()
+        print_unlimited(render_after_check)
+
+    monkeypatch.setattr(cli, "_print_unlimited", checked)
+    code, out, err = run_cli(capsys, [command, "--format", fmt], "1 2 3 8", monkeypatch)
+    assert (code, err) == (0, "") and out
+    assert alive == [False] * (2 if command == "solve-traditional" else 1)
 
 
 def _mask_wall_time(text):

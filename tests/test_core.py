@@ -1591,3 +1591,27 @@ def test_traverse_guard_values():
     assert SolverConfig().traverse_guard_factor == SolverConfig.traverse_guard_factor == 1
     with pytest.raises(TypeError):
         SolverConfig(traverse_guard_factor=2)
+
+
+@pytest.mark.parametrize("strategy", list(InitStrategy))
+@pytest.mark.parametrize("kind", ["solve", "pinned", "traditional"])
+def test_reported_indices_are_perms_own_ints(strategy, kind):
+    # the scatter back to input order gathers perm's int objects, allocating
+    # none, and gives the tuples compress over range(n) gave
+    from eqpart.reductions import solve_traditional
+    rng = random.Random(1000)
+    inst = Instance(tuple(rng.randint(-10**6, 10**6) for _ in range(1000)), Mode.EXACT_INT)
+    cfg = SolverConfig(init_strategy=strategy, seed=3)
+    report = (solve_traditional(inst, cfg).extended_report if kind == "traditional"
+              else core.solve(inst, cfg, card1=300 if kind == "pinned" else None))
+    si = report.sorted_instance
+    n = len(si)
+    perm_ints = {id(i): i for i in si.perm}
+    assert all(perm_ints.get(id(i)) is i
+               for i in report.original_set1 + report.original_set2)
+    member = [False] * n
+    for i in itertools.compress(si.perm, report.partition.in_set1):
+        member[i] = True
+    assert report.original_set1 == tuple(itertools.compress(range(n), member))
+    assert report.original_set2 == tuple(itertools.filterfalse(member.__getitem__, range(n)))
+    assert len(report.original_set1) == (300 if kind == "pinned" else n // 2)
