@@ -13,8 +13,10 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import itertools
 import json
 import math
+import operator
 import os
 import re
 import sys
@@ -39,10 +41,12 @@ class InputFormatError(PartitionError):
     """Malformed input text; message carries line and column."""
 
 
-# ASCII digits, the six bytes bytes.split() splits on, and commas: on these
-# bytes.split and str.split agree, and int() of a bytes token keeps the
-# 4300-digit limit, so such input parses from the bytes as it would from text
-_PLAIN_INT_BYTES = b"0123456789 \t\n\r\x0b\x0c,"
+# ASCII digits, '-', commas and the six ASCII whitespace bytes: on these, a
+# JSON array of ints is a comma-separated list of maximal digit runs, each
+# with at most a leading '-' and no leading zero, and json.loads reads each
+# as int() reads it, 4300-digit limit included
+_PLAIN_INT_BYTES = b"0123456789- \t\n\r\x0b\x0c,"
+_WHITESPACE_TO_COMMA = bytes.maketrans(b" \t\n\r\x0b\x0c", b"," * 6)
 _INT_TOKEN = re.compile(r"[+-]?\d+")
 # no two quantifiers can split one digit run, so a failed match is linear
 _FLOAT_TOKEN = re.compile(r"[+-]?(?:\d+(?:\.\d*)?|\.\d+)(?:[eE][+-]?\d+)?")
@@ -59,19 +63,23 @@ def parse_input(data: bytes, mode: Mode | None = None) -> Instance:
     on whitespace); only a failed check runs the line scan that locates it.
     A UTF-8 byte-order mark at the start is dropped.
 
-    Outside float mode, input of ASCII digits, whitespace and commas alone
-    is split and converted as bytes: no decoded copy, no isdecimal pass,
-    and bytes tokens are smaller than str ones.  Empty input, or a token
-    past int()'s digit limit, falls through to the text path, which
+    Outside float mode, input of ASCII digits, '-', whitespace and commas
+    alone is read by one json.loads of its tokens joined by single commas,
+    with no token objects.  Input JSON refuses (a leading zero such as 007,
+    a '-' that does not lead a digit run, a token past int()'s digit limit)
+    or that holds no token falls through to the text path, which reads or
     reports it; so does every other input, unchanged.
     """
     if mode is not Mode.FLOAT64 and not data.translate(None, _PLAIN_INT_BYTES):
-        tokens = data.replace(b",", b" ").split()
-        if tokens:
+        body = data.translate(_WHITESPACE_TO_COMMA)
+        while b",," in body:
+            body = body.replace(b",,", b",")
+        body = b"[%b]" % body.strip(b",")
+        if body != b"[]":
             try:
-                return Instance(tuple(map(int, tokens)), Mode.EXACT_INT)
+                return Instance(tuple(json.loads(body)), Mode.EXACT_INT)
             except ValueError:
-                pass  # int()'s digit limit: the text path names the token
+                pass  # the text path reads zero-padded ints and names bad tokens
     try:
         text = data.decode("utf-8-sig")
     except UnicodeDecodeError as exc:
@@ -79,6 +87,7 @@ def parse_input(data: bytes, mode: Mode | None = None) -> Instance:
     body = text if "#" not in text else "\n".join(
         line for line in text.splitlines() if not line.lstrip().startswith("#"))
     tokens = body.replace(",", " ").split()
+    del text, body  # the line scan decodes again: the conversion runs without them
     if not tokens:
         raise InputFormatError("empty input: no numbers found")
     # str.isdecimal matches what \d does, per code point, far cheaper than the regex
@@ -88,12 +97,16 @@ def parse_input(data: bytes, mode: Mode | None = None) -> Instance:
     refusal = None
     if all_int or mode is Mode.FLOAT64 and all(map(_FLOAT_TOKEN.fullmatch, tokens)):
         try:  # Instance decides which numbers are accepted, in bulk, and floats them
-            return Instance(tuple(map(int, tokens)) if mode is Mode.EXACT_INT
-                            else tuple(tokens), mode)
+            if mode is Mode.EXACT_INT:
+                # in place, a slice at a time: each slice's str tokens are
+                # freed as its ints are made, so the two are never all alive
+                for k in range(0, len(tokens), 4096):
+                    tokens[k:k + 4096] = map(int, tokens[k:k + 4096])
+            return Instance(tuple(tokens), mode)
         except (OverflowGuardError, ValueError) as exc:
             refusal = exc  # int()'s digit limit, a float sum, or a non-finite float
     # a float sum past the range is no one token's fault: Instance's error stands
-    raise _first_bad_token(text, mode) or refusal
+    raise _first_bad_token(data.decode("utf-8-sig"), mode) or refusal
 
 
 def _first_bad_token(text: str, mode: Mode) -> InputFormatError | None:
@@ -138,17 +151,25 @@ def _config_from_args(args) -> SolverConfig:
 
 
 def _print_unlimited(render) -> None:
-    """Print render()'s text with int()'s str limit lifted for the render
-    alone: an objective of two values under the 4300-digit parse limit can
-    have 4301 digits.  The old limit is back before the print, so a parse
-    after it, in this process too, keeps the limit."""
+    """Print render()'s lines one at a time, with int()'s str limit lifted
+    for the render alone: an objective of two values under the 4300-digit
+    parse limit can have 4301 digits.  The old limit is back before the
+    first write, so a parse after it, in this process too, keeps the limit."""
     limit = sys.get_int_max_str_digits()
     sys.set_int_max_str_digits(0)
     try:
-        text = render()
+        lines = render()
     finally:
         sys.set_int_max_str_digits(limit)
-    print(text)
+    for line in lines:
+        print(line)
+
+
+def _spaced(numbers) -> str:
+    """' '.join(map(str, numbers)) for a list or tuple of ints or floats,
+    whose repr is their str: repr holds one number's text at a time, where
+    join holds all of them."""
+    return repr(numbers)[1:-1].replace(",", "")
 
 
 def _cmd_solve(args) -> int:
@@ -158,6 +179,7 @@ def _cmd_solve(args) -> int:
     cfg = _config_from_args(args)
     instance = _read_instance(args)
     traditional = args.command == "solve-traditional"
+    text = args.format == "text"
     exact_min = None
     if args.oracle:
         from .oracle import exact_min_diff_unconstrained, oracle_result
@@ -166,38 +188,41 @@ def _cmd_solve(args) -> int:
     if traditional:
         from .reductions import solve_traditional
         result = solve_traditional(instance, cfg)
-        report, objective, sides = (result.extended_report, result.objective,
-                                    (result.part1, result.part2))
+        report, objective = result.extended_report, result.objective
+        sides = (result.part1, result.part2) if text else None
         del result
     else:
         report = solve(instance, cfg, card1=args.cardinality)
-        objective, sides = report.objective, (report.original_set1, report.original_set2)
+        objective = report.objective
+        # only text output, which prints indices, builds the index sides
+        sides = (report.original_set1, report.original_set2) if text else None
     # solve-traditional's report is the zero-padded solve, where a swap with
     # a dummy zero is a transfer: one check covers both kinds of move
     verified = None
     if args.verify:
         verified = is_locally_optimal_pairswap(report.partition)
-    set1, set2 = ([instance.values[i] for i in idx] for idx in sides)
+    # the value lists come from the membership; compress stops with the
+    # values: for solve-traditional, the first N flags are the inputs'
+    member = report.membership
     metrics = dataclasses.asdict(report.metrics)
-    del metrics["max_traverse_evaluations"]
-    # the render reads none of these, and only text prints indices: freed
-    # here, what the solve built is gone before the output text is built
-    del report, instance
-    if args.format == "json":
-        del sides
+    # the render reads none of these: freed here, what the solve built is
+    # gone before the value lists and the output text are built
+    del metrics["max_traverse_evaluations"], report
+    set1 = list(itertools.compress(instance.values, member))
+    set2 = list(itertools.compress(instance.values, map(operator.not_, member)))
+    del instance, member
 
     def render():
-        if args.format == "json":
+        if not text:
             payload = {"objective": objective, "set1": set1, "set2": set2, "metrics": metrics}
             if verified is not None:
                 payload["verified"] = verified
             if exact_min is not None:
                 payload["exact_min"] = exact_min
-            return json.dumps(payload)
+            return [json.dumps(payload)]
         lines = [f"objective: {objective}"]
         for name, vals, idx in zip(("set1", "set2"), (set1, set2), sides):
-            lines.append(f"{name}: {' '.join(map(str, vals))}  "
-                         f"(indices {' '.join(map(str, idx))})")
+            lines.append(f"{name}: {_spaced(vals)}  (indices {_spaced(idx)})")
         if verified is not None:
             lines.append(f"verified: {'PASS' if verified else 'FAIL'}")
         if exact_min is not None:
@@ -205,7 +230,7 @@ def _cmd_solve(args) -> int:
             lines.append(f"exact_min: {exact_min} ({status})")
         if args.stats:
             lines.append("stats: " + " ".join(f"{k}={v}" for k, v in metrics.items()))
-        return "\n".join(lines)
+        return lines
 
     _print_unlimited(render)
     return 3 if verified is False else 0
@@ -215,11 +240,11 @@ def _cmd_oracle(args) -> int:
     from .oracle import oracle_result
     res = oracle_result(_read_instance(args))
     if args.format == "json":
-        _print_unlimited(lambda: json.dumps(dataclasses.asdict(res)))
+        _print_unlimited(lambda: [json.dumps(dataclasses.asdict(res))])
     else:
-        _print_unlimited(lambda: f"exact_min: {res.exact_min}\n"
-                                 f"local_optima: {' '.join(map(str, res.local_optima))}\n"
-                                 f"partitions_enumerated: {res.num_partitions_enumerated}")
+        _print_unlimited(lambda: [f"exact_min: {res.exact_min}",
+                                  f"local_optima: {' '.join(map(str, res.local_optima))}",
+                                  f"partitions_enumerated: {res.num_partitions_enumerated}"])
     return 0
 
 

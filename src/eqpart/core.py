@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import bisect
 import enum
+import functools
 import itertools
 import math
 import operator
@@ -227,15 +228,34 @@ class SolveReport:
     """Final partition plus instrumentation.  partition is the descent's own
     exact state, as is the trace's d; objective is |d| / scale rounded once
     for float input, |d| for ints.  Input-unit values are
-    sorted_instance.sorted_values."""
+    sorted_instance.sorted_values.
+
+    membership[i] is True when input index i is on side 1.  original_set1
+    and original_set2, the ascending input indices of each side, are built
+    from it on first read and cached: a caller that reads the values alone,
+    as compress(values, membership), never builds them."""
 
     partition: PartitionState
     objective: float | int
     metrics: Metrics
-    original_set1: tuple
-    original_set2: tuple
+    membership: list
     sorted_instance: SortedInstance
     trace: tuple = ()
+
+    @functools.cached_property  # writes __dict__ directly, so frozen allows it
+    def _sides(self):
+        """Both index tuples as perm's own int objects, placed in input order
+        by one pass over perm, not fresh ints from a range: the report holds
+        each index once."""
+        member = self.membership
+        index = [None] * len(member)
+        for i in self.sorted_instance.perm:
+            index[i] = i
+        return (tuple(itertools.compress(index, member)),
+                tuple(itertools.compress(index, map(operator.not_, member))))
+
+    original_set1 = property(lambda self: self._sides[0])
+    original_set2 = property(lambda self: self._sides[1])
 
 
 def scaled_ints(values) -> tuple:
@@ -643,9 +663,9 @@ def _solve_sorted(si: SortedInstance, cfg: SolverConfig, card1: Optional[int],
                   t0: int) -> SolveReport:
     """solve from its sorted instance on; wall_time_ns counts from t0.
 
-    The reported index tuples hold si.perm's own int objects, gathered in
-    input order, not fresh ints from a range: the report holds each index
-    once, and the scatter allocates no int per index."""
+    The scatter back to input order builds the report's membership alone,
+    one flag per input index; the index sides are the report's to build,
+    on first read."""
     state = init_partition(si, cfg, card1)
     metrics = Metrics()
     trace = [] if cfg.collect_trace else None
@@ -662,18 +682,12 @@ def _solve_sorted(si: SortedInstance, cfg: SolverConfig, card1: Optional[int],
     member = [False] * len(si)  # side 1 scattered back to input order
     for i in itertools.compress(si.perm, state.in_set1):
         member[i] = True
-    index = [None] * len(si)  # perm's own ints, in input order
-    for i in si.perm:
-        index[i] = i
-    set1 = tuple(itertools.compress(index, member))
-    set2 = tuple(itertools.compress(index, map(operator.not_, member)))
     metrics.wall_time_ns = time.perf_counter_ns() - t0
     return SolveReport(
         partition=state,
         objective=abs(state.d) / state.scale if si.mode is Mode.FLOAT64 else abs(state.d),
         metrics=metrics,
-        original_set1=set1,
-        original_set2=set2,
+        membership=member,
         sorted_instance=si,
         trace=tuple(trace) if trace is not None else (),
     )

@@ -11,6 +11,7 @@ takes the exponents):
 - int_lines: ints in [1, 10^9], one per line (cli_bulk_int's input);
 - int_commas: the same ints, comma-separated;
 - signed: ints in [-10^9, 10^9], one per line;
+- zero_padded: int_lines' ints zero-padded to 10 digits (the text path);
 - float2: two-decimal floats in [0, 10^4), one per line.
 
 A child's peak RSS is the ru_maxrss that os.wait4 reports.  On Linux that
@@ -102,6 +103,7 @@ def inputs(n: int) -> dict:
         "int_lines": "\n".join(map(str, ints)) + "\n",
         "int_commas": ",".join(map(str, ints)) + "\n",
         "signed": "\n".join(str(rng.randint(-10**9, 10**9)) for _ in range(n)) + "\n",
+        "zero_padded": "\n".join(f"{v:010d}" for v in ints) + "\n",
         "float2": "\n".join(f"{rng.uniform(0, 1e4):.2f}" for _ in range(n)) + "\n",
     }
 

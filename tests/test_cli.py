@@ -182,15 +182,17 @@ def test_parse_matches_line_scan_reference(pieces, bad, at, mode):
 
 
 # parse_input's bytes path takes input of these bytes alone, outside float
-# mode; its neighbours, which the text path splits on or refuses, go there
+# mode, and reads what json.loads accepts of it; the rest (leading zeros, a
+# misplaced '-', 4301 digits) and its neighbours, which the text path splits
+# on or refuses, go there
 _GATE_PIECES = st.sampled_from([
     b"0", b"7", b"42", b"007", b"000", b"1000000000", b"9" * 4300, b"0" * 4299 + b"5",
     b"9" * 4301, b"0" * 4300 + b"5", b" ", b"  ", b"\t", b"\n", b"\r", b"\r\n", b"\x0b",
-    b"\x0c", b",", b", ", b",,",
+    b"\x0c", b",", b", ", b",,", b"-", b"-0", b"--1",
 ])
 _GATE_NEIGHBOURS = st.sampled_from([
     b"\x1c", b"\x1d", b"\x1e", b"\x1f", b"\x85", "\x85".encode(), b"\xa0", "\xa0".encode(),
-    "\u3000".encode(), b"\xef\xbb\xbf", b"#", b"+", b"-", b"_", "\u0663".encode(),
+    "\u3000".encode(), b"\xef\xbb\xbf", b"#", b"+", b"_", "\u0663".encode(),
 ])
 
 
@@ -199,9 +201,16 @@ _GATE_NEIGHBOURS = st.sampled_from([
        st.sampled_from([None, Mode.EXACT_INT, Mode.FLOAT64]))
 @example(pieces=[], neighbours=[], mode=None)
 @example(pieces=[b" \t\r\n\x0b\x0c,"], neighbours=[], mode=Mode.EXACT_INT)
+@example(pieces=[b" \n\t\r\n  "], neighbours=[], mode=None)
 @example(pieces=[b"7", b"\n", b"9" * 4301], neighbours=[], mode=None)
+@example(pieces=[b"7", b"\n", b"-", b"9" * 4301], neighbours=[], mode=None)
 @example(pieces=[b"7", b"\n", b"8"], neighbours=[(1, b"\x1c")], mode=None)
 @example(pieces=[b"1", b"0"], neighbours=[(1, b"_")], mode=None)  # int() takes 1_0
+@example(pieces=[b"5", b"\n", b"-12", b"\n", b"0", b"\n"], neighbours=[], mode=None)
+@example(pieces=[b"5", b"\r\n", b"12", b"\r\n", b"-3", b"\r\n"], neighbours=[], mode=None)
+@example(pieces=[b"\n", b"5", b"\n", b"\n", b"12", b"\n\n"], neighbours=[], mode=None)
+@example(pieces=[b"5", b", ", b"12", b", ", b"-3"], neighbours=[], mode=Mode.EXACT_INT)
+@example(pieces=[b"007", b"\n", b"12", b"\n"], neighbours=[], mode=None)
 @settings(max_examples=400, deadline=None)
 def test_parse_bytes_path_matches_line_scan_reference(pieces, neighbours, mode):
     # values (with their types), mode, or exception type and message all agree
@@ -539,6 +548,29 @@ def test_render_runs_after_the_solve_is_freed(capsys, monkeypatch, command, fmt)
     code, out, err = run_cli(capsys, [command, "--format", fmt], "1 2 3 8", monkeypatch)
     assert (code, err) == (0, "") and out
     assert alive == [False] * (2 if command == "solve-traditional" else 1)
+
+
+@pytest.mark.parametrize("argv, stdin_text", [
+    (["solve"], "1 2 3 8"),
+    (["verify", "--init", "random", "--seed", "5"], " ".join(map(str, range(-20, 40, 3)))),
+    (["solve", "--cardinality", "3", "--oracle", "--stats"], "4 -1 7 0 3 3 12"),
+    (["solve", "--init", "greedy"], "0.5 2.25 1e3 7 1.5 9"),
+], ids=["solve", "verify", "pinned", "float"])
+def test_json_solve_never_derives_index_sides(capsys, monkeypatch, argv, stdin_text):
+    # JSON prints values alone, from the report's membership: a derivation
+    # of the index sides that raises changes neither the exit nor the bytes
+    argv = [*argv, "--format", "json"]
+    want = run_cli(capsys, argv, stdin_text, monkeypatch)
+
+    def derive(report):
+        raise AssertionError("index sides derived")
+
+    monkeypatch.setattr(core.SolveReport, "_sides", property(derive))
+    got = run_cli(capsys, argv, stdin_text, monkeypatch)
+    assert got[0] == 0 and got[2] == ""
+    assert _mask_wall_time(got[1]) == _mask_wall_time(want[1])
+    with pytest.raises(AssertionError, match="index sides derived"):
+        run_cli(capsys, [*argv[:-2], "--format", "text"], stdin_text, monkeypatch)
 
 
 def _mask_wall_time(text):

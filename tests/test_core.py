@@ -1615,3 +1615,43 @@ def test_reported_indices_are_perms_own_ints(strategy, kind):
     assert report.original_set1 == tuple(itertools.compress(range(n), member))
     assert report.original_set2 == tuple(itertools.filterfalse(member.__getitem__, range(n)))
     assert len(report.original_set1) == (300 if kind == "pinned" else n // 2)
+
+
+@pytest.mark.parametrize("mode", list(Mode))
+@pytest.mark.parametrize("strategy", list(InitStrategy))
+@pytest.mark.parametrize("kind", ["solve", "pinned", "traditional"])
+def test_sides_derive_from_membership_on_first_read(mode, strategy, kind):
+    # membership is the partition scattered to input order; the sides are
+    # not built until read, then equal the eager gather through perm and
+    # are cached, the same tuple objects on every read
+    from eqpart.reductions import solve_traditional
+    rng = random.Random(1001)
+    values = [rng.randint(-10**6, 10**6) for _ in range(1000)]
+    if mode is Mode.FLOAT64:
+        values = [v / 64 for v in values]
+    inst = Instance(tuple(values), mode)
+    cfg = SolverConfig(init_strategy=strategy, seed=3)
+    if kind == "traditional":
+        res = solve_traditional(inst, cfg)
+        report = res.extended_report
+    else:
+        report = core.solve(inst, cfg, card1=300 if kind == "pinned" else None)
+        assert "_sides" not in vars(report)
+    si = report.sorted_instance
+    n = len(si)
+    member = [False] * n
+    for i in itertools.compress(si.perm, report.partition.in_set1):
+        member[i] = True
+    assert report.membership == member
+    index = [None] * n
+    for i in si.perm:
+        index[i] = i
+    eager = (tuple(itertools.compress(index, member)),
+             tuple(itertools.filterfalse(member.__getitem__, index)))
+    assert (report.original_set1, report.original_set2) == eager
+    assert report.original_set1 is report.original_set1
+    assert report.original_set2 is report.original_set2
+    if kind == "traditional":
+        assert (res.part1, res.part2) == tuple(
+            tuple(itertools.compress(range(len(inst)), flags))
+            for flags in (member, map(operator.not_, member)))
