@@ -12,7 +12,6 @@ InternalConsistencyError 3, any other PartitionError or a ValueError 2.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import itertools
 import json
 import math
@@ -27,6 +26,7 @@ from .core import (
     Instance,
     InternalConsistencyError,
     InitStrategy,
+    Metrics,
     Mode,
     OverflowGuardError,
     PartitionError,
@@ -204,10 +204,12 @@ def _cmd_solve(args) -> int:
     # the value lists come from the membership; compress stops with the
     # values: for solve-traditional, the first N flags are the inputs'
     member = report.membership
-    metrics = dataclasses.asdict(report.metrics)
+    # the JSON metrics: Metrics' fields in order, all but the per-sweep peak
+    metrics = {name: getattr(report.metrics, name) for name in Metrics.__match_args__
+               if name != "max_traverse_evaluations"}
     # the render reads none of these: freed here, what the solve built is
     # gone before the value lists and the output text are built
-    del metrics["max_traverse_evaluations"], report
+    del report
     set1 = list(itertools.compress(instance.values, member))
     set2 = list(itertools.compress(instance.values, map(operator.not_, member)))
     del instance, member
@@ -237,6 +239,8 @@ def _cmd_solve(args) -> int:
 
 
 def _cmd_oracle(args) -> int:
+    import dataclasses
+
     from .oracle import oracle_result
     res = oracle_result(_read_instance(args))
     if args.format == "json":

@@ -25,8 +25,6 @@ import math
 import operator
 import random
 import time
-from dataclasses import dataclass
-from typing import ClassVar, Optional
 
 
 def excerpt(x) -> str:
@@ -87,27 +85,68 @@ class InternalConsistencyError(PartitionError):
     maintained d that disagrees with its recomputation."""
 
 
-@dataclass(frozen=True)
-class Instance:
+class _Record:
+    """Base of core's record types: plain classes with __slots__ and an
+    explicit __init__ each, not dataclasses, so importing core loads no
+    dataclasses or inspect.  __match_args__ names the fields in order; they
+    give == (same class, equal fields), a repr naming them, and pickling by
+    constructor call.  To change a field, build a new record."""
+
+    __slots__ = ()
+    __match_args__ = ()
+
+    def _fields(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__match_args__)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._fields() == other._fields()
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__match_args__)
+        return f"{type(self).__qualname__}({fields})"
+
+    def __reduce__(self):
+        return type(self), self._fields()
+
+
+class _Frozen(_Record):
+    """A record whose fields its __init__ sets once, through _set; equal
+    values hash alike."""
+
+    __slots__ = ()
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __hash__(self) -> int:
+        return hash(self._fields())
+
+
+_set = object.__setattr__  # a frozen record's __init__ sets its fields past __setattr__
+
+
+class Instance(_Frozen):
     """Input multiset with original positions preserved, and the one check of
     which numbers are accepted: ints (not bools) of any size, or values
     float() makes finite, with 4 * sum(|x|) finite so every d in input units
     is.  The error names the first bad value, else the float sum."""
 
-    values: tuple
-    mode: Mode
+    __slots__ = __match_args__ = ("values", "mode")
 
-    def __post_init__(self):
+    def __init__(self, values: tuple, mode: Mode):
         # Bulk checks first; the loops only run to name the first bad value.
-        values = self.values
-        if self.mode is Mode.EXACT_INT:
-            if set(map(type, values)) <= {int}:
-                return
-            for x in values:
-                if not isinstance(x, int) or isinstance(x, bool):
-                    raise OverflowGuardError(
-                        f"exact-integer mode requires int values, got {excerpt(x)}"
-                    )
+        if mode is Mode.EXACT_INT:
+            if not set(map(type, values)) <= {int}:
+                for x in values:
+                    if not isinstance(x, int) or isinstance(x, bool):
+                        raise OverflowGuardError(
+                            f"exact-integer mode requires int values, got {excerpt(x)}"
+                        )
         else:
             try:
                 floats = tuple(map(float, values))
@@ -125,7 +164,9 @@ class Instance:
                 raise OverflowGuardError(
                     f"sum of |values| = {total} is too large for float mode (4 * sum must be finite)"
                 )
-            object.__setattr__(self, "values", floats)
+            values = floats
+        _set(self, "values", values)
+        _set(self, "mode", mode)
 
     @staticmethod
     def from_values(values) -> "Instance":
@@ -138,62 +179,73 @@ class Instance:
         return len(self.values)
 
 
-@dataclass(frozen=True)
-class SortedInstance:
+class SortedInstance(_Frozen):
     """Ascending view of an instance plus the permutation back to input order.
 
     sorted_values[i] == instance.values[perm[i]]; ties keep input order.
     """
 
-    sorted_values: tuple
-    perm: tuple
-    mode: Mode
+    __slots__ = __match_args__ = ("sorted_values", "perm", "mode")
+
+    def __init__(self, sorted_values: tuple, perm: tuple, mode: Mode):
+        _set(self, "sorted_values", sorted_values)
+        _set(self, "perm", perm)
+        _set(self, "mode", mode)
 
     def __len__(self) -> int:
         return len(self.sorted_values)
 
 
-@dataclass(frozen=True)
-class SolverConfig:
-    init_strategy: InitStrategy = InitStrategy.ALTERNATING
-    seed: Optional[int] = None
-    collect_trace: bool = False
-    traverse_guard_factor: ClassVar[int] = 1  # a constant, not an option
+class SolverConfig(_Frozen):
+    __slots__ = __match_args__ = ("init_strategy", "seed", "collect_trace")
+    traverse_guard_factor = 1  # a constant, not an option
 
-    def __post_init__(self):
-        if self.init_strategy is InitStrategy.RANDOM and self.seed is None:
+    def __init__(self, init_strategy: InitStrategy = InitStrategy.ALTERNATING,
+                 seed: int | None = None, collect_trace: bool = False):
+        if init_strategy is InitStrategy.RANDOM and seed is None:
             raise ValueError("RANDOM initialization requires a seed")
+        _set(self, "init_strategy", init_strategy)
+        _set(self, "seed", seed)
+        _set(self, "collect_trace", collect_trace)
 
 
-@dataclass
-class Metrics:
+class Metrics(_Record):
     """Per-run instrumentation counters.
 
     max_traverse_evaluations is the peak candidate_evaluations of any single
     traverse, kept so work-per-traverse bounds can be checked after the fact.
+    The other fields, in order, are the CLI's JSON metrics.
     """
 
-    traverses: int = 0
-    swaps: int = 0
-    sign_changes: int = 0
-    candidate_evaluations: int = 0
-    wall_time_ns: int = 0
-    max_traverse_evaluations: int = 0
+    __slots__ = __match_args__ = ("traverses", "swaps", "sign_changes", "candidate_evaluations",
+                                  "wall_time_ns", "max_traverse_evaluations")
+
+    def __init__(self, traverses: int = 0, swaps: int = 0, sign_changes: int = 0,
+                 candidate_evaluations: int = 0, wall_time_ns: int = 0,
+                 max_traverse_evaluations: int = 0):
+        self.traverses = traverses
+        self.swaps = swaps
+        self.sign_changes = sign_changes
+        self.candidate_evaluations = candidate_evaluations
+        self.wall_time_ns = wall_time_ns
+        self.max_traverse_evaluations = max_traverse_evaluations
 
 
-@dataclass(frozen=True)
-class SwapEvent:
+class SwapEvent(_Frozen):
     """One applied swap of sorted indices; d in the descent's exact ints."""
 
-    cursor: int
-    partner: int
-    d_before: int
-    d_after: int
-    outcome: TraverseOutcome
+    __slots__ = __match_args__ = ("cursor", "partner", "d_before", "d_after", "outcome")
+
+    def __init__(self, cursor: int, partner: int, d_before: int, d_after: int,
+                 outcome: TraverseOutcome):
+        _set(self, "cursor", cursor)
+        _set(self, "partner", partner)
+        _set(self, "d_before", d_before)
+        _set(self, "d_after", d_after)
+        _set(self, "outcome", outcome)
 
 
-@dataclass
-class PartitionState:
+class PartitionState(_Record):
     """Membership of each sorted index plus the maintained difference.
 
     in_set1[i] is True when sorted index i belongs to side 1; d is the side-1
@@ -203,10 +255,13 @@ class PartitionState:
     oracle.enumerate_equal_partitions yields; the verifier rescales it.
     """
 
-    values: tuple
-    in_set1: list
-    d: float | int
-    scale: int = 1
+    __slots__ = __match_args__ = ("values", "in_set1", "d", "scale")
+
+    def __init__(self, values: tuple, in_set1: list, d: float | int, scale: int = 1):
+        self.values = values
+        self.in_set1 = in_set1
+        self.d = d
+        self.scale = scale
 
     def set1_indices(self) -> tuple:
         return tuple(itertools.compress(range(len(self.in_set1)), self.in_set1))
@@ -223,8 +278,7 @@ class PartitionState:
         return cls(values, in_set1, _side_diff(values, in_set1), scale)
 
 
-@dataclass(frozen=True)
-class SolveReport:
+class SolveReport(_Frozen):
     """Final partition plus instrumentation.  partition is the descent's own
     exact state, as is the trace's d; objective is |d| / scale rounded once
     for float input, |d| for ints.  Input-unit values are
@@ -235,12 +289,18 @@ class SolveReport:
     from it on first read and cached: a caller that reads the values alone,
     as compress(values, membership), never builds them."""
 
-    partition: PartitionState
-    objective: float | int
-    metrics: Metrics
-    membership: list
-    sorted_instance: SortedInstance
-    trace: tuple = ()
+    __match_args__ = ("partition", "objective", "metrics", "membership", "sorted_instance",
+                      "trace")
+    __slots__ = __match_args__ + ("__dict__", "__weakref__")  # __dict__ holds _sides
+
+    def __init__(self, partition: PartitionState, objective: float | int, metrics: Metrics,
+                 membership: list, sorted_instance: SortedInstance, trace: tuple = ()):
+        _set(self, "partition", partition)
+        _set(self, "objective", objective)
+        _set(self, "metrics", metrics)
+        _set(self, "membership", membership)
+        _set(self, "sorted_instance", sorted_instance)
+        _set(self, "trace", trace)
 
     @functools.cached_property  # writes __dict__ directly, so frozen allows it
     def _sides(self):
@@ -333,7 +393,7 @@ def _initial_membership(xs: tuple, cfg: SolverConfig, card1: int) -> list:
     return in_set1
 
 
-def side1_cardinality(n: int, card1: Optional[int]) -> int:
+def side1_cardinality(n: int, card1: int | None) -> int:
     """Side-1 size for N elements: N/2 when card1 is None (N must be even
     and at least 2), else card1, which must lie in 1..N-1."""
     if card1 is None:
@@ -350,7 +410,7 @@ def side1_cardinality(n: int, card1: Optional[int]) -> int:
 
 
 def init_partition(
-    si: SortedInstance, cfg: SolverConfig, card1: Optional[int] = None
+    si: SortedInstance, cfg: SolverConfig, card1: int | None = None
 ) -> PartitionState:
     """Build the descent's starting state, on ints (see PartitionState), with
     side1_cardinality(N, card1) elements on side 1."""
@@ -425,7 +485,7 @@ def run_traverse(
     state: PartitionState,
     cfg: SolverConfig,
     metrics: Metrics,
-    trace: Optional[list] = None,
+    trace: list | None = None,
 ) -> TraverseOutcome:
     """One cursor sweep from the lowest sorted index upward.
 
@@ -637,7 +697,7 @@ def run_traverse(
     return outcome
 
 
-def traverse_guard(n: int, mode: Optional[Mode] = None, factor: int = 1) -> int:
+def traverse_guard(n: int, mode: Mode | None = None, factor: int = 1) -> int:
     """Sweep-count ceiling: N+2 for every mode, times factor (solve uses 1)."""
     return factor * (n + 2)
 
@@ -645,7 +705,7 @@ def traverse_guard(n: int, mode: Optional[Mode] = None, factor: int = 1) -> int:
 def solve(
     instance: Instance,
     cfg: SolverConfig = SolverConfig(),
-    card1: Optional[int] = None,
+    card1: int | None = None,
 ) -> SolveReport:
     """Find a pair-swap locally optimal partition.
 
@@ -659,7 +719,7 @@ def solve(
     return _solve_sorted(normalize_and_sort(instance), cfg, card1, t0)
 
 
-def _solve_sorted(si: SortedInstance, cfg: SolverConfig, card1: Optional[int],
+def _solve_sorted(si: SortedInstance, cfg: SolverConfig, card1: int | None,
                   t0: int) -> SolveReport:
     """solve from its sorted instance on; wall_time_ns counts from t0.
 

@@ -2,8 +2,8 @@
 
 import bisect
 import contextlib
-import dataclasses
 import enum
+import io
 import itertools
 import math
 import operator
@@ -25,7 +25,9 @@ from eqpart.core import (
     Mode,
     OverflowGuardError,
     PartitionState,
+    SolveReport,
     SolverConfig,
+    SortedInstance,
     SwapEvent,
     TraverseOutcome,
     init_partition,
@@ -866,14 +868,19 @@ def linear_scan_sweep(state, cfg, metrics, trace=None):
     return outcome
 
 
+def _untimed(m):
+    """The counters of m with wall_time_ns zeroed, as a new Metrics."""
+    return Metrics(m.traverses, m.swaps, m.sign_changes, m.candidate_evaluations, 0,
+                   m.max_traverse_evaluations)
+
+
 def _solve_outcome(values, cfg, card1):
     """Everything a solve decides, floats by repr; the message of a guard trip."""
     try:
         r = solve(Instance.from_values(values), cfg, card1)
     except InternalConsistencyError as exc:
         return str(exc)
-    return (r.partition.in_set1, repr(r.partition.d), repr(r.trace),
-            dataclasses.replace(r.metrics, wall_time_ns=0))
+    return (r.partition.in_set1, repr(r.partition.d), repr(r.trace), _untimed(r.metrics))
 
 
 _decimal_floats = st.tuples(
@@ -925,7 +932,7 @@ def test_sweep_matches_reference(values, cfg, pinned, data):
         blocks = _block_membership(data, len(values))
         start = mock.patch.object(core, "_initial_membership", lambda *_: list(blocks))
         cfg = SolverConfig()
-    cfg = dataclasses.replace(cfg, collect_trace=True)
+    cfg = SolverConfig(cfg.init_strategy, cfg.seed, collect_trace=True)
     with start:
         with mock.patch.object(core, "run_traverse", linear_scan_sweep):
             expected = _solve_outcome(values, cfg, card1)
@@ -938,7 +945,7 @@ def test_sweep_matches_reference_at_4096(cfg):
     # alternating, random and greedy descents, once in split's one sweep
     rng = random.Random(4096)
     values = [rng.randint(1, 10**9) for _ in range(4096)]
-    cfg = dataclasses.replace(cfg, collect_trace=True)
+    cfg = SolverConfig(cfg.init_strategy, cfg.seed, collect_trace=True)
     with mock.patch.object(core, "run_traverse", linear_scan_sweep):
         expected = _solve_outcome(values, cfg, None)
     assert _solve_outcome(values, cfg, None) == expected
@@ -950,7 +957,7 @@ def test_traditional_sweep_matches_reference_at_4096(cfg):
     # 4096 dummy zeros: the sweep jumps the zero group's cursors
     rng = random.Random(4096)
     instance = Instance.from_values([rng.randint(1, 10**9) for _ in range(4096)])
-    cfg = dataclasses.replace(cfg, collect_trace=True)
+    cfg = SolverConfig(cfg.init_strategy, cfg.seed, collect_trace=True)
     with mock.patch.object(core, "run_traverse", linear_scan_sweep):
         expected = _traditional_outcome(instance, cfg)
     assert _traditional_outcome(instance, cfg) == expected
@@ -961,7 +968,7 @@ def _traditional_outcome(instance, cfg):
     r = solve_traditional(instance, cfg)
     rep = r.extended_report
     return (r.part1, r.part2, rep.partition.in_set1, rep.partition.d, rep.trace,
-            dataclasses.replace(rep.metrics, wall_time_ns=0))
+            _untimed(rep.metrics))
 
 
 _FLOAT_ALPHABET = (0.1, 0.3, 0.2, 0.6, 0.9, 1e-9, 3e-9, 7, 21)
@@ -1147,7 +1154,7 @@ def test_float_input_gets_the_integer_guarantees(values, cfg, kind, data):
     # sweeps, a tolerance-0 certificate, and the objective is the correctly
     # rounded exact difference of the reported sides
     inst = Instance(tuple(values), Mode.FLOAT64)
-    cfg = dataclasses.replace(cfg, collect_trace=True)
+    cfg = SolverConfig(cfg.init_strategy, cfg.seed, collect_trace=True)
     if kind == "traditional":
         result = solve_traditional(inst, cfg)
         report, set1, set2 = result.extended_report, result.part1, result.part2
@@ -1372,7 +1379,7 @@ def test_zero_tolerance_verdicts_are_exact_past_2_53(state):
 def _gap_pass_case(values, in_set1):
     """(state, the same state in descending order, which takes the sorted keys)."""
     state = PartitionState.from_membership(values, in_set1, Mode.EXACT_INT)
-    return state, dataclasses.replace(state, values=values[::-1], in_set1=in_set1[::-1])
+    return state, PartitionState(values[::-1], in_set1[::-1], state.d, state.scale)
 
 
 @st.composite
@@ -1406,8 +1413,8 @@ def _solver_shaped_states(draw):
             state = PartitionState.from_membership(
                 tuple(values), [i in set1 for i in range(n)], mode)
     order = draw(st.permutations(range(len(values))))
-    shuffled = dataclasses.replace(state, values=tuple(state.values[i] for i in order),
-                                   in_set1=[state.in_set1[i] for i in order])
+    shuffled = PartitionState(tuple(state.values[i] for i in order),
+                              [state.in_set1[i] for i in order], state.d, state.scale)
     return state, shuffled
 
 
@@ -1581,6 +1588,108 @@ def test_parallel_solves_match_serial():
     with ThreadPoolExecutor(max_workers=8) as pool:
         parallel = list(pool.map(lambda i: solve(i).objective, instances))
     assert parallel == serial
+
+
+# ------------------------------------------------------------------ records
+
+_STATE = PartitionState((1, 3), [False, True], 2)
+_SORTED = SortedInstance((1, 3), (1, 0), Mode.EXACT_INT)
+_EVENT = SwapEvent(1, 0, -2, 2, TraverseOutcome.SIGN_FLIPPED)
+
+# (type, a value of each field in order, the same with one field changed,
+# the defaults of the trailing fields that have one)
+RECORDS = [
+    (Instance, ((3, 1), Mode.EXACT_INT), ((3, 2), Mode.EXACT_INT), ()),
+    (SortedInstance, ((1, 3), (1, 0), Mode.EXACT_INT), ((1, 3), (0, 1), Mode.EXACT_INT), ()),
+    (SolverConfig, (InitStrategy.RANDOM, 7, True), (InitStrategy.RANDOM, 8, True),
+     (InitStrategy.ALTERNATING, None, False)),
+    (Metrics, (1, 2, 3, 4, 5, 6), (1, 2, 3, 4, 5, 7), (0, 0, 0, 0, 0, 0)),
+    (SwapEvent, (3, 1, 5, -1, TraverseOutcome.SIGN_FLIPPED),
+     (3, 1, 5, -1, TraverseOutcome.COMPLETED), ()),
+    (PartitionState, ((1, 3), [False, True], 2, 4), ((1, 3), [True, False], 2, 4), (1,)),
+    (SolveReport, (_STATE, 2, Metrics(1), [True, False], _SORTED, (_EVENT,)),
+     (_STATE, 2, Metrics(2), [True, False], _SORTED, (_EVENT,)), ((),)),
+]
+FROZEN = (Instance, SortedInstance, SolverConfig, SwapEvent, SolveReport)
+_record_ids = [r[0].__name__ for r in RECORDS]
+
+
+def _fields(record):
+    return tuple(getattr(record, name) for name in type(record).__match_args__)
+
+
+@pytest.mark.parametrize("cls, values, other, defaults", RECORDS, ids=_record_ids)
+def test_record_construction(cls, values, other, defaults):
+    # by position, by keyword, and with the trailing defaults left out
+    by_position = cls(*values)
+    assert _fields(by_position) == values
+    assert _fields(cls(**dict(zip(cls.__match_args__, values)))) == values
+    required = values[:len(values) - len(defaults)]
+    assert _fields(cls(*required)) == required + defaults
+    with pytest.raises(TypeError):
+        cls(*values, None)  # no field past the last
+
+
+@pytest.mark.parametrize("cls, values, other, defaults", RECORDS, ids=_record_ids)
+def test_record_equality_and_repr(cls, values, other, defaults):
+    record = cls(*values)
+    assert record == cls(*values) and not record != cls(*values)
+    assert record != cls(*other)
+    assert record != values  # a record equals records of its own type only
+    shown = ", ".join(f"{name}={value!r}" for name, value in zip(cls.__match_args__, values))
+    assert repr(record) == f"{cls.__name__}({shown})"
+
+
+@pytest.mark.parametrize("cls, values, other, defaults", RECORDS, ids=_record_ids)
+def test_record_assignment_and_hash(cls, values, other, defaults):
+    record = cls(*values)
+    for name, value in zip(cls.__match_args__, other):
+        if cls in FROZEN:
+            with pytest.raises(AttributeError):
+                setattr(record, name, value)
+            with pytest.raises(AttributeError):
+                delattr(record, name)
+        else:
+            setattr(record, name, value)
+    if cls not in FROZEN:
+        assert record == cls(*other)
+        with pytest.raises(TypeError):
+            hash(record)  # mutable records are unhashable
+    elif cls is SolveReport:  # its membership list is unhashable, as its field
+        with pytest.raises(TypeError):
+            hash(record)
+    else:
+        assert record == cls(*values) and hash(record) == hash(cls(*values))
+        assert len({record, cls(*values), cls(*other)}) == 2
+    with pytest.raises(AttributeError):
+        record.not_a_field = 1
+
+
+@pytest.mark.parametrize("cls, values, other, defaults", RECORDS, ids=_record_ids)
+def test_record_pickles(cls, values, other, defaults):
+    import pickle
+
+    record = cls(*values)
+    clone = pickle.loads(pickle.dumps(record))
+    assert type(clone) is cls and clone == record
+    if cls is SolveReport:  # the cached sides are not pickled; the clone derives its own
+        assert record.original_set1 == (0,)
+        clone = pickle.loads(pickle.dumps(record))
+        assert "_sides" not in vars(clone) and clone.original_set1 == (0,)
+
+
+def test_metrics_fields_are_the_json_metrics_keys(tmp_path):
+    import json
+
+    from eqpart import cli
+
+    path = tmp_path / "in.txt"
+    path.write_text("1 2 3 8\n")
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert cli.main(["solve", "--format", "json", "--input", str(path)]) == 0
+    keys = list(json.loads(out.getvalue())["metrics"])
+    assert Metrics.__match_args__ == (*keys, "max_traverse_evaluations")
 
 
 def test_traverse_guard_values():

@@ -47,6 +47,29 @@ def test_cli_loads_only_what_solve_needs():
     assert issubclass(oracle.OracleCapError, core.PartitionError)
 
 
+SOLVE_IN_PROCESS = ("import os, sys; from eqpart.cli import main; sys.stdout = open(os.devnull, 'w'); "
+                    "code = main({argv!r}); sys.stdout = sys.__stdout__; assert code == 0")
+
+
+@pytest.mark.parametrize("argv", [None, ["solve", "--verify"],
+                                  ["solve", "--verify", "--format", "json", "--stats"],
+                                  ["verify", "--init", "random", "--seed", "3"]],
+                         ids=["import", "solve", "solve-json", "verify"])
+def test_cli_solve_loads_no_dataclasses_inspect_or_typing(argv, tmp_path):
+    # core's records are plain classes: neither importing the CLI nor a
+    # solve or verify through it loads these, beyond what a bare
+    # interpreter's site already has
+    if argv is None:
+        statement = "import eqpart.cli"
+    else:
+        path = tmp_path / "in.txt"
+        path.write_text("1 2 3 8 5 13\n")
+        statement = SOLVE_IN_PROCESS.format(argv=[*argv, "--input", str(path)])
+    added = loaded_modules(statement) - loaded_modules("pass")
+    assert "eqpart.core" in added
+    assert not added & {"dataclasses", "inspect", "typing"}
+
+
 def fence(heading):
     """Body of the first code fence after a `## heading` line."""
     section = README.split(f"\n## {heading}\n", 1)[1]
