@@ -33,6 +33,7 @@ from .core import (
     SolverConfig,
     excerpt,
     is_locally_optimal_pairswap,
+    side_indices,
     solve,
 )
 
@@ -187,23 +188,17 @@ def _cmd_solve(args) -> int:
                      else oracle_result(instance, card1=args.cardinality).exact_min)
     if traditional:
         from .reductions import solve_traditional
-        result = solve_traditional(instance, cfg)
-        report, objective = result.extended_report, result.objective
-        sides = (result.part1, result.part2) if text else None
-        del result
+        report = solve_traditional(instance, cfg).extended_report
     else:
         report = solve(instance, cfg, card1=args.cardinality)
-        objective = report.objective
-        # only text output, which prints indices, builds the index sides
-        sides = (report.original_set1, report.original_set2) if text else None
     # solve-traditional's report is the zero-padded solve, where a swap with
     # a dummy zero is a transfer: one check covers both kinds of move
     verified = None
     if args.verify:
         verified = is_locally_optimal_pairswap(report.partition)
-    # the value lists come from the membership; compress stops with the
-    # values: for solve-traditional, the first N flags are the inputs'
-    member = report.membership
+    # values and indices come from the membership, whose first N flags are
+    # the inputs' for solve-traditional too; compress stops with the values
+    objective, member = report.objective, report.membership
     # the JSON metrics: Metrics' fields in order, all but the per-sweep peak
     metrics = {name: getattr(report.metrics, name) for name in Metrics.__match_args__
                if name != "max_traverse_evaluations"}
@@ -212,7 +207,11 @@ def _cmd_solve(args) -> int:
     del report
     set1 = list(itertools.compress(instance.values, member))
     set2 = list(itertools.compress(instance.values, map(operator.not_, member)))
-    del instance, member
+    n = len(instance)
+    del instance
+    # only text output, which prints indices, derives the index sides
+    sides = (side_indices(member, True, n), side_indices(member, False, n)) if text else None
+    del member
 
     def render():
         if not text:

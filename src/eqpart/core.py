@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import bisect
 import enum
-import functools
 import itertools
 import math
 import operator
@@ -264,11 +263,10 @@ class PartitionState(_Record):
         self.scale = scale
 
     def set1_indices(self) -> tuple:
-        return tuple(itertools.compress(range(len(self.in_set1)), self.in_set1))
+        return side_indices(self.in_set1)
 
     def set2_indices(self) -> tuple:
-        m = self.in_set1
-        return tuple(itertools.filterfalse(m.__getitem__, range(len(m))))
+        return side_indices(self.in_set1, False)
 
     @classmethod
     def from_membership(cls, values: tuple, in_set1: list, mode: Mode) -> "PartitionState":
@@ -285,13 +283,14 @@ class SolveReport(_Frozen):
     sorted_instance.sorted_values.
 
     membership[i] is True when input index i is on side 1.  original_set1
-    and original_set2, the ascending input indices of each side, are built
-    from it on first read and cached: a caller that reads the values alone,
-    as compress(values, membership), never builds them."""
+    and original_set2, the ascending input indices of each side, are derived
+    from it on each read, not cached: a caller that reads them twice keeps
+    the tuple, and one that reads the values alone, as compress(values,
+    membership), never builds them."""
 
     __match_args__ = ("partition", "objective", "metrics", "membership", "sorted_instance",
                       "trace")
-    __slots__ = __match_args__ + ("__dict__", "__weakref__")  # __dict__ holds _sides
+    __slots__ = __match_args__ + ("__weakref__",)
 
     def __init__(self, partition: PartitionState, objective: float | int, metrics: Metrics,
                  membership: list, sorted_instance: SortedInstance, trace: tuple = ()):
@@ -302,20 +301,16 @@ class SolveReport(_Frozen):
         _set(self, "sorted_instance", sorted_instance)
         _set(self, "trace", trace)
 
-    @functools.cached_property  # writes __dict__ directly, so frozen allows it
-    def _sides(self):
-        """Both index tuples as perm's own int objects, placed in input order
-        by one pass over perm, not fresh ints from a range: the report holds
-        each index once."""
-        member = self.membership
-        index = [None] * len(member)
-        for i in self.sorted_instance.perm:
-            index[i] = i
-        return (tuple(itertools.compress(index, member)),
-                tuple(itertools.compress(index, map(operator.not_, member))))
+    original_set1 = property(lambda self: side_indices(self.membership))
+    original_set2 = property(lambda self: side_indices(self.membership, False))
 
-    original_set1 = property(lambda self: self._sides[0])
-    original_set2 = property(lambda self: self._sides[1])
+
+def side_indices(flags, side: bool = True, n: int | None = None) -> tuple:
+    """The ascending indices i < n (default len(flags)) whose flags[i] is
+    side: every index side, sorted or input order, is derived here."""
+    indices = range(len(flags) if n is None else n)
+    return tuple(itertools.compress(indices, flags) if side
+                 else itertools.filterfalse(flags.__getitem__, indices))
 
 
 def scaled_ints(values) -> tuple:
@@ -724,8 +719,7 @@ def _solve_sorted(si: SortedInstance, cfg: SolverConfig, card1: int | None,
     """solve from its sorted instance on; wall_time_ns counts from t0.
 
     The scatter back to input order builds the report's membership alone,
-    one flag per input index; the index sides are the report's to build,
-    on first read."""
+    one flag per input index; the report derives the index sides from it."""
     state = init_partition(si, cfg, card1)
     metrics = Metrics()
     trace = [] if cfg.collect_trace else None

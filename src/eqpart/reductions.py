@@ -14,7 +14,7 @@ import time
 from dataclasses import dataclass
 
 from .core import (Instance, InvalidCardinalityError, Mode, SolveReport, SolverConfig,
-                   SortedInstance, _solve_sorted, normalize_and_sort, solve)
+                   SortedInstance, _solve_sorted, normalize_and_sort, side_indices, solve)
 # perfbench/test_perfbench.py calls the transfer check by this module's name
 from .oracle import is_locally_optimal_transfer  # noqa: F401
 
@@ -48,9 +48,9 @@ def solve_traditional(
 ) -> TraditionalResult:
     """Solve the free-cardinality problem via the dummy-zero reduction.
 
-    Dummies occupy extended original indices N..2N-1, so stripping keeps
-    exactly the original indices; zeros that were genuine inputs stay.  The
-    report's index tuples ascend, so each side's originals are a prefix.
+    Dummies occupy extended original indices N..2N-1, so the first N flags
+    of the report's membership are the inputs': the parts are derived from
+    them alone, and zeros that were genuine inputs stay.
 
     Only the N inputs are sorted.  A stable sort of to_equal_cardinality's
     2N values puts the dummies, the highest indices, right after the last
@@ -60,8 +60,6 @@ def solve_traditional(
     """
     t0 = time.perf_counter_ns()
     n = len(instance)
-    if n < 1:
-        raise InvalidCardinalityError("need at least one element")
     si = normalize_and_sort(instance)
     values, perm = si.sorted_values, si.perm
     p = bisect.bisect_right(values, 0)
@@ -69,9 +67,8 @@ def solve_traditional(
     extended = SortedInstance(values[:p] + (zero,) * n + values[p:],
                               perm[:p] + tuple(range(n, 2 * n)) + perm[p:], si.mode)
     report = _solve_sorted(extended, cfg, None, t0)
-    set1, set2 = report.original_set1, report.original_set2
-    part1 = set1[:bisect.bisect_left(set1, n)]
-    part2 = set2[:bisect.bisect_left(set2, n)]
+    part1 = side_indices(report.membership, True, n)
+    part2 = side_indices(report.membership, False, n)
     report.metrics.wall_time_ns = time.perf_counter_ns() - t0
     return TraditionalResult(
         part1=part1,

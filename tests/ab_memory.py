@@ -1,12 +1,13 @@
-"""Peak memory and wall time of `eqpart solve` children, parent against change.
+"""Peak memory and wall time of `eqpart solve` and `eqpart solve-traditional`
+children, parent against change.
 
     git archive REV | tar -x -C PARENT_DIR
     python tests/ab_memory.py --parent PARENT_DIR --out BENCH_memory.json
 
-runs `python -c "...main()" solve --format F --input FILE` as a child
-process with PYTHONPATH set to each tree's src (this checkout's, and
-PARENT_DIR's when given) on seeded inputs of N = 2^10..2^17 values (--sizes
-takes the exponents):
+runs `python -c "...main()" COMMAND --format F --input FILE`, COMMAND
+solve and solve-traditional, as a child process with PYTHONPATH set to
+each tree's src (this checkout's, and PARENT_DIR's when given) on seeded
+inputs of N = 2^10..2^17 values (--sizes takes the exponents):
 
 - int_lines: ints in [1, 10^9], one per line (cli_bulk_int's input);
 - int_commas: the same ints, comma-separated;
@@ -21,13 +22,17 @@ children are spawned by a lean process of their own (this file with
 holds the inputs.  Each cell runs --reps times per side, alternating which
 side runs first; medians and minima are over those runs.  Both sides'
 outputs must be byte-identical with wall_time_ns masked, or the script
-stops with an AssertionError.
+stops with an AssertionError.  A child's peak RSS can step by about 0.4 MB
+with the length of a path alone (seen at 2^15: one tree read apart at two
+paths, and one input file given by a relative and an absolute path), so
+for a record, run this file from a copy of the checkout whose path is as
+long as PARENT_DIR's.
 
 Each cell also runs once per side under tracemalloc (this file with
---phases): parse_input, solve and the render reset the traced peak on
-entry and record it on exit, so each phase's peak counts what earlier
-phases left alive.  The file has no test_ prefix, so pytest does not
-collect it.
+--phases): parse_input, the solve (solve, or solve_traditional) and the
+render reset the traced peak on entry and record it on exit, so each
+phase's peak counts what earlier phases left alive.  The file has no test_
+prefix, so pytest does not collect it.
 """
 
 import argparse
@@ -66,12 +71,12 @@ def spawner() -> int:
     return 0
 
 
-def phases(fmt: str, path: str) -> int:
+def phases(command: str, fmt: str, path: str) -> int:
     """Print the tracemalloc peak, in bytes, of parse, solve and render of
-    one `eqpart solve` run in this process, as one JSON line on stderr."""
+    one `eqpart COMMAND` run in this process, as one JSON line on stderr."""
     import tracemalloc
 
-    from eqpart import cli
+    from eqpart import cli, reductions
 
     peaks = {}
 
@@ -87,9 +92,10 @@ def phases(fmt: str, path: str) -> int:
     print_unlimited = cli._print_unlimited
     cli.parse_input = phase("parse", cli.parse_input)
     cli.solve = phase("solve", cli.solve)
+    reductions.solve_traditional = phase("solve", reductions.solve_traditional)
     cli._print_unlimited = lambda render: print_unlimited(phase("render", render))
     tracemalloc.start()
-    code = cli.main(["solve", "--format", fmt, "--input", path])
+    code = cli.main([command, "--format", fmt, "--input", path])
     tracemalloc.stop()
     sys.stdout.flush()
     print(json.dumps(peaks), file=sys.stderr)
@@ -138,7 +144,8 @@ def main(argv=None) -> int:
     ap.add_argument("--reps", type=int, default=5, help="child runs per side and cell")
     ap.add_argument("--out", default=None, help="write the JSON here, not to stdout")
     ap.add_argument("--spawner", action="store_true", help=argparse.SUPPRESS)
-    ap.add_argument("--phases", nargs=2, metavar=("FORMAT", "FILE"), help=argparse.SUPPRESS)
+    ap.add_argument("--phases", nargs=3, metavar=("COMMAND", "FORMAT", "FILE"),
+                    help=argparse.SUPPRESS)
     args = ap.parse_args(argv)
     if args.spawner:
         return spawner()
@@ -161,15 +168,17 @@ def main(argv=None) -> int:
                     path = os.path.join(tmp, "input.txt")
                     with open(path, "w") as fh:
                         fh.write(text)
-                    for fmt in ("json", "text"):
-                        cells.append(measure(runner, sides, outs, k, name, fmt, path,
-                                             args.reps))
-                        print(json.dumps(cells[-1]), file=sys.stderr)
+                    for command in ("solve", "solve-traditional"):
+                        for fmt in ("json", "text"):
+                            cells.append(measure(runner, sides, outs, k, name, command, fmt,
+                                                 path, args.reps))
+                            print(json.dumps(cells[-1]), file=sys.stderr)
     finally:
         runner.close()
     report = {
-        "topic": "peak RSS and wall time of `eqpart solve` children, per input kind, "
-                 "format and size, with per-phase tracemalloc peaks",
+        "topic": "peak RSS and wall time of `eqpart solve` and `eqpart solve-traditional` "
+                 "children, per input kind, command, format and size, with per-phase "
+                 "tracemalloc peaks",
         "host": {"cpu": platform.processor() or platform.machine(),
                  "vcpus": os.cpu_count(), "python": platform.python_version()},
         "method": f"python tests/ab_memory.py --reps {args.reps}: see its docstring",
@@ -185,8 +194,8 @@ def main(argv=None) -> int:
     return 0
 
 
-def measure(runner, sides, outs, k, name, fmt, path, reps) -> dict:
-    cmd = [sys.executable, "-c", CLI_STUB, "solve", "--format", fmt, "--input", path]
+def measure(runner, sides, outs, k, name, command, fmt, path, reps) -> dict:
+    cmd = [sys.executable, "-c", CLI_STUB, command, "--format", fmt, "--input", path]
     runs = {side: [] for side in sides}
     order = list(sides)
     for r in range(reps):
@@ -196,13 +205,13 @@ def measure(runner, sides, outs, k, name, fmt, path, reps) -> dict:
     for side in sides:
         with open(outs[side], "rb") as fh:
             outputs.add(WALL.sub(rb"wall_time_ns\1_", fh.read()))
-    assert len(outputs) == 1, f"outputs differ at 2^{k} {name} {fmt}"
-    cell = {"n": 1 << k, "input": name, "format": fmt}
+    assert len(outputs) == 1, f"outputs differ at 2^{k} {name} {command} {fmt}"
+    cell = {"n": 1 << k, "input": name, "command": command, "format": fmt}
     for side, tree in sides.items():
         rss = [a["rss_kb"] / 1024 for a in runs[side]]
         wall = [a["ns"] / 1e6 for a in runs[side]]
-        phase_run = runner.run([sys.executable, __file__, "--phases", fmt, path], tree,
-                               outs[side])
+        phase_run = runner.run([sys.executable, __file__, "--phases", command, fmt, path],
+                               tree, outs[side])
         peaks = json.loads(phase_run["err"].splitlines()[-1])
         cell[side] = {
             "peak_rss_mb": {"median": round(statistics.median(rss), 2),

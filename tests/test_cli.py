@@ -562,10 +562,13 @@ def test_json_solve_never_derives_index_sides(capsys, monkeypatch, argv, stdin_t
     argv = [*argv, "--format", "json"]
     want = run_cli(capsys, argv, stdin_text, monkeypatch)
 
-    def derive(report):
+    def derive(*args):
         raise AssertionError("index sides derived")
 
-    monkeypatch.setattr(core.SolveReport, "_sides", property(derive))
+    # cli's own name only: --oracle reaches core's through pairswap_witness
+    monkeypatch.setattr(cli, "side_indices", derive)
+    monkeypatch.setattr(core.SolveReport, "original_set1", property(derive))
+    monkeypatch.setattr(core.SolveReport, "original_set2", property(derive))
     got = run_cli(capsys, argv, stdin_text, monkeypatch)
     assert got[0] == 0 and got[2] == ""
     assert _mask_wall_time(got[1]) == _mask_wall_time(want[1])

@@ -13,7 +13,7 @@ from fractions import Fraction
 from unittest import mock
 
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from eqpart import core
 from eqpart.core import (
@@ -1672,10 +1672,6 @@ def test_record_pickles(cls, values, other, defaults):
     record = cls(*values)
     clone = pickle.loads(pickle.dumps(record))
     assert type(clone) is cls and clone == record
-    if cls is SolveReport:  # the cached sides are not pickled; the clone derives its own
-        assert record.original_set1 == (0,)
-        clone = pickle.loads(pickle.dumps(record))
-        assert "_sides" not in vars(clone) and clone.original_set1 == (0,)
 
 
 def test_metrics_fields_are_the_json_metrics_keys(tmp_path):
@@ -1702,37 +1698,12 @@ def test_traverse_guard_values():
         SolverConfig(traverse_guard_factor=2)
 
 
-@pytest.mark.parametrize("strategy", list(InitStrategy))
-@pytest.mark.parametrize("kind", ["solve", "pinned", "traditional"])
-def test_reported_indices_are_perms_own_ints(strategy, kind):
-    # the scatter back to input order gathers perm's int objects, allocating
-    # none, and gives the tuples compress over range(n) gave
-    from eqpart.reductions import solve_traditional
-    rng = random.Random(1000)
-    inst = Instance(tuple(rng.randint(-10**6, 10**6) for _ in range(1000)), Mode.EXACT_INT)
-    cfg = SolverConfig(init_strategy=strategy, seed=3)
-    report = (solve_traditional(inst, cfg).extended_report if kind == "traditional"
-              else core.solve(inst, cfg, card1=300 if kind == "pinned" else None))
-    si = report.sorted_instance
-    n = len(si)
-    perm_ints = {id(i): i for i in si.perm}
-    assert all(perm_ints.get(id(i)) is i
-               for i in report.original_set1 + report.original_set2)
-    member = [False] * n
-    for i in itertools.compress(si.perm, report.partition.in_set1):
-        member[i] = True
-    assert report.original_set1 == tuple(itertools.compress(range(n), member))
-    assert report.original_set2 == tuple(itertools.filterfalse(member.__getitem__, range(n)))
-    assert len(report.original_set1) == (300 if kind == "pinned" else n // 2)
-
-
 @pytest.mark.parametrize("mode", list(Mode))
 @pytest.mark.parametrize("strategy", list(InitStrategy))
 @pytest.mark.parametrize("kind", ["solve", "pinned", "traditional"])
 def test_sides_derive_from_membership_on_first_read(mode, strategy, kind):
-    # membership is the partition scattered to input order; the sides are
-    # not built until read, then equal the eager gather through perm and
-    # are cached, the same tuple objects on every read
+    # membership is the partition scattered to input order; the sides equal
+    # the eager gather through perm and compress over range(n)
     from eqpart.reductions import solve_traditional
     rng = random.Random(1001)
     values = [rng.randint(-10**6, 10**6) for _ in range(1000)]
@@ -1745,7 +1716,6 @@ def test_sides_derive_from_membership_on_first_read(mode, strategy, kind):
         report = res.extended_report
     else:
         report = core.solve(inst, cfg, card1=300 if kind == "pinned" else None)
-        assert "_sides" not in vars(report)
     si = report.sorted_instance
     n = len(si)
     member = [False] * n
@@ -1758,9 +1728,61 @@ def test_sides_derive_from_membership_on_first_read(mode, strategy, kind):
     eager = (tuple(itertools.compress(index, member)),
              tuple(itertools.filterfalse(member.__getitem__, index)))
     assert (report.original_set1, report.original_set2) == eager
-    assert report.original_set1 is report.original_set1
-    assert report.original_set2 is report.original_set2
+    assert report.original_set1 == tuple(itertools.compress(range(n), member))
+    assert report.original_set2 == tuple(itertools.filterfalse(member.__getitem__, range(n)))
+    assert len(report.original_set1) == (300 if kind == "pinned" else n // 2)
     if kind == "traditional":
         assert (res.part1, res.part2) == tuple(
             tuple(itertools.compress(range(len(inst)), flags))
             for flags in (member, map(operator.not_, member)))
+
+
+def _flag_filter(flags, side, n=None):
+    """The reference every index side meets: the i < n whose flag is side."""
+    return [i for i in range(len(flags) if n is None else n) if flags[i] == side]
+
+
+def _printed_indices(argv, values, strategy):
+    """The (indices ...) of each side that `eqpart ARGV` prints for values."""
+    from eqpart import cli
+
+    stdin = io.TextIOWrapper(io.BytesIO(" ".join(map(str, values)).encode()))
+    out = io.StringIO()
+    with mock.patch("sys.stdin", stdin), contextlib.redirect_stdout(out):
+        assert cli.main([*argv, "--init", strategy.value, "--seed", "7"]) == 0
+    lines = out.getvalue().splitlines()[1:3]
+    return [[int(i) for i in line.split("(indices ")[1][:-1].split()] for line in lines]
+
+
+@pytest.mark.parametrize("strategy", list(InitStrategy))
+@pytest.mark.parametrize("kind", ["solve", "pinned", "traditional"])
+@given(values=st.lists(st.one_of(st.just(0), st.integers(-40, 40)), min_size=1, max_size=24),
+       floats=st.booleans(), k=st.integers(1, 22))
+@settings(max_examples=30, deadline=None)
+def test_every_index_side_is_the_flag_filter(strategy, kind, values, floats, k):
+    # SolveReport's sides, PartitionState's indices, solve_traditional's
+    # parts (genuine zeros among the inputs) and the CLI's printed indices
+    # each list, ascending, the indices whose flag is the side
+    from eqpart.reductions import solve_traditional
+    if floats:
+        values = [v / 4 for v in values]
+    if kind == "solve":
+        values = values * 2 if len(values) % 2 else values
+    inst, n = Instance.from_values(values), len(values)
+    cfg = SolverConfig(init_strategy=strategy, seed=7)
+    if kind == "traditional":
+        res = solve_traditional(inst, cfg)
+        report, argv = res.extended_report, ["solve-traditional"]
+        sides = [list(res.part1), list(res.part2)]
+        assert sides == [_flag_filter(report.membership, side, n) for side in (True, False)]
+    else:
+        assume(n >= 2)
+        card1 = 1 + k % (n - 1) if kind == "pinned" else None
+        report = solve(inst, cfg, card1=card1)
+        argv = ["solve"] if card1 is None else ["solve", "--cardinality", str(card1)]
+        sides = [list(report.original_set1), list(report.original_set2)]
+    assert _printed_indices(argv, values, strategy) == sides
+    for got, flags in (((report.original_set1, report.original_set2), report.membership),
+                       ((report.partition.set1_indices(), report.partition.set2_indices()),
+                        report.partition.in_set1)):
+        assert list(map(list, got)) == [_flag_filter(flags, side) for side in (True, False)]

@@ -196,6 +196,8 @@ def test_empty_instance_is_a_cardinality_error():
             solve(empty)
         with pytest.raises(InvalidCardinalityError, match="^instance is empty$"):
             solve_with_cardinality(empty, 1)
+        with pytest.raises(InvalidCardinalityError, match="^instance is empty$"):
+            solve_traditional(empty)
 
 
 def _gathered_sides(report):
