@@ -535,14 +535,13 @@ def run_traverse(
 
     Only cursors that can swap pay for a visit: the sweep jumps between
     larger-side cursors with list.index and counts the skipped ones in bulk
-    (all N at once when d == 0).  A larger-side cursor right above the
-    floor with no tie group below it has an empty window and becomes the
-    floor at 0 evaluations, before any scan set-up.  With no tie group, a
-    cursor whose gap values[n] - values[n-1] is at least e cannot swap
-    either: the run's top partner gives e' = e - 2*gap <= -e, and every
-    lower one less, so the scan would visit the whole run and keep no
-    partner.  Such a cursor becomes the floor in O(1) and counts the run's
-    n - floor - 1 evaluations.
+    (all N at once when d == 0).  After the tie walk, a cursor whose window
+    is empty, or whose gap values[n] - values[n-1] is at least e, cannot
+    swap: every candidate, the tie member too, is at most values[n-1], so
+    each gives e' <= e - 2*gap <= -e.  It becomes the floor in O(1) and
+    counts the n - lo evaluations of a scan that keeps no partner, except
+    an empty window above a tied floor: that visit goes on to the group
+    jump below, which pays on long groups of equal values.
 
     Runs of O(1) accepts are taken in bulk (_take_run).  Let the floor have
     no tie group, and the next larger-side cursor c take p = floor + 1 with
@@ -608,11 +607,6 @@ def run_traverse(
             break
         evals += n - after  # the smaller-side cursors jumped over
         tied = floor > 0 and values[floor - 1] == values[floor]
-        if not tied and (floor == n - 1 or values[n] - values[n - 1] >= e):
-            # no tie group, and an empty run or one whose top gives e' <= -e
-            evals += n - floor - 1
-            floor = n
-            continue
         lo = floor + 1  # the window's bottom; floor stands for a tie member
         if tied:
             if values[floor] != values[tie]:
@@ -622,6 +616,12 @@ def run_traverse(
                 evals += 1
             if tie < floor:
                 lo = floor
+        if lo == n and not tied or values[n] - values[n - 1] >= e:
+            # an empty window (a tied floor's goes on to the group jump), or
+            # one whose top gives e' <= -e
+            evals += n - lo
+            floor = n
+            continue
         c = e - 2 * values[n]
         # j: the scan's stop, its first e' >= 0 (n, whose e' is e, if none);
         # best_e: the scan's last e' < 0 (-e, no gain, if none)

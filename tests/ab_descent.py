@@ -1,7 +1,7 @@
 """Side-by-side descent timer: two versions of eqpart's core.py in one process.
 
     git show REV:src/eqpart/core.py > parent_core.py
-    python tests/ab_descent.py parent_core.py --out BENCH_runs.json
+    python tests/ab_descent.py parent_core.py --out BENCH_ties.json
 
 loads parent_core.py and this checkout's src/eqpart/core.py (or --change
 FILE) as two modules.  Each cell's start is the parent's init_partition of
@@ -13,11 +13,12 @@ pool) alternate which side runs first, and min and median are over the
 rounds' bests.  Every descent's counters, membership and d must be
 equal on both sides, or the script stops with an AssertionError.
 
-Inputs: N values drawn by random.Random(N).randint(1, 10^9) for N = 2^10..
-2^17 under the four inits (random with seed 1), and lib_split_verify's
+Inputs: for N = 2^10..2^17, N values of each family in FAMILIES, drawn by
+random.Random(N) and built by Instance.from_values (floats run in float
+mode), under the four inits (random with seed 1); and lib_split_verify's
 seed-1 pool: 8 inputs of N = 2048 from random.Random("lib_split_verify:1"),
-split init, reported as per-solve means.  The file has no test_ prefix, so
-pytest does not collect it.
+split init, reported as per-solve means.  All but the first family are
+tie-heavy.  The file has no test_ prefix, so pytest does not collect it.
 """
 
 import argparse
@@ -33,12 +34,23 @@ from pathlib import Path
 COUNTERS = ("traverses", "swaps", "sign_changes", "candidate_evaluations",
             "max_traverse_evaluations")
 INITS = ("alternating", "split", "random", "greedy")
+FAMILIES = {
+    "uniform ints in [1, 10^9]": lambda rng, n: [rng.randint(1, 10**9) for _ in range(n)],
+    "two-decimal floats in [0, 1000]": lambda rng, n: [
+        round(rng.uniform(0, 1000), 2) for _ in range(n)],
+    "ints in [1, 10^9], each drawn twice": lambda rng, n: [
+        x for x in (rng.randint(1, 10**9) for _ in range(n // 2)) for _ in (0, 1)],
+    "ints in {0..9}": lambda rng, n: [rng.randint(0, 9) for _ in range(n)],
+    "ints in {0..100}": lambda rng, n: [rng.randint(0, 100) for _ in range(n)],
+}
 
 
 def load(path, name):
     spec = importlib.util.spec_from_file_location(name, path)
     module = importlib.util.module_from_spec(spec)
-    sys.modules[name] = module  # dataclasses resolve their module by name
+    # a core.py from before its records were plain classes builds them with
+    # dataclasses, which look their module up in sys.modules
+    sys.modules[name] = module
     spec.loader.exec_module(module)
     return module
 
@@ -104,18 +116,18 @@ def main(argv=None):
     parent = sides["parent"]
 
     def start(values, init):
-        si = parent.normalize_and_sort(parent.Instance(tuple(values), parent.Mode.EXACT_INT))
+        si = parent.normalize_and_sort(parent.Instance.from_values(values))
         cfg = parent.SolverConfig(init_strategy=parent.InitStrategy(init), seed=1)
         return parent.init_partition(si, cfg)
 
     grid = []
     for k in range(10, args.max_log2 + 1):
         n = 1 << k
-        rng = random.Random(n)
-        values = [rng.randint(1, 10**9) for _ in range(n)]
         rounds, reps = (11 if k < 15 else 9), (5 if k < 16 else 3)
-        for init in INITS:
-            grid.append((n, "uniform ints in [1, 10^9]", init, [start(values, init)], rounds, reps))
+        for family, draw in FAMILIES.items():
+            values = draw(random.Random(n), n)
+            for init in INITS:
+                grid.append((n, family, init, [start(values, init)], rounds, reps))
     rng = random.Random("lib_split_verify:1")
     pool = [[rng.randint(1, 10**9) for _ in range(2048)] for _ in range(8)]
     grid.append((2048, "lib_split_verify's seed-1 pool", "split",

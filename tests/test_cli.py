@@ -22,6 +22,7 @@ import eqpart
 from eqpart import cli, core
 from eqpart.cli import InputFormatError, main, parse_input
 from eqpart.core import Instance, InternalConsistencyError, Mode, PartitionError
+import ab_output
 from conftest import run_cli
 
 
@@ -689,6 +690,20 @@ EXACT_CASES = (
 def test_exact_output_bytes(capsys, monkeypatch, argv, stdin_text, expected):
     code, out, err = run_cli(capsys, argv, stdin_text, monkeypatch)
     assert (code, re.sub(r'(wall_time_ns"?(?:=|: ))\d+', r"\1#", out), err) == (0, expected, "")
+
+
+# tests/ab_output.py --digest --slice; a change meant to change output
+# changes it and says why in CHANGES.md
+OUTPUT_SLICE_DIGEST = "3252633c9a6311435951d5e2cf0d4648c00157ed89d3038a6fd5851ba3876196"
+
+
+def test_output_corpus_slice_is_pinned():
+    # exit codes, stdout and stderr of 400 seeded runs of the output corpus
+    # (every command, format, init and input shape, the error inputs), with
+    # wall_time_ns masked, equal to what they were when the digest was taken
+    runs = ab_output.tier1_slice(ab_output.corpus())
+    assert len(runs) == 400
+    assert ab_output.digest(runs, ab_output.results(runs)) == OUTPUT_SLICE_DIGEST
 
 
 @pytest.mark.parametrize("argv", [["solve", "--verify"], ["verify"],

@@ -502,6 +502,32 @@ def test_sweep_rejects_a_cursor_whose_gap_reaches_e_at_once():
     assert (metrics.swaps, state.d) == (2, -1)
 
 
+def test_sweep_rejects_a_cursor_above_a_tied_floor_at_once():
+    # d = 0 - 1 = -1, larger side 2 = {1, 2, 3}.  Cursor 1 scores index 0
+    # (e' = 1, no gain) and becomes the floor, and the sweep jumps to cursor
+    # 2, the zero group's last.  Cursor 3's floor 2 has the tie group
+    # {0, 1, 2}, whose opposing member is index 0: its gap 1 - 0 reaches
+    # e = 1, so every candidate gives e' <= -1 and the cursor becomes the
+    # floor without a scan, counting its window's 1 evaluation.
+    values, set1 = [0, 0, 0, 1], {0}
+    outcome, events, metrics, state = _sweep(values, set1)
+    assert outcome is TraverseOutcome.COMPLETED and events == []
+    # skip 0 + cursor 1 (1) + jump to cursor 2 (1) + cursor 3 (1)
+    assert metrics.candidate_evaluations == 4
+    assert state.d == -1
+    calls, bisect_left = [], bisect.bisect_left
+
+    def counted(*args):
+        calls.append(args)
+        return bisect_left(*args)
+
+    # the same sweep makes no bisection: nothing resets the tie pointer,
+    # and cursor 3 never reaches the scan's
+    with mock.patch.object(core.bisect, "bisect_left", counted):
+        run_traverse(make_state(values, set1), SolverConfig(), Metrics())
+    assert calls == []
+
+
 def test_sweep_tie_below_the_floor_keeps_the_window_open():
     # the same run with index 1 tied with the floor's value 3 (d = 19 -
     # 18 = 1): cursor 3 sits right above the floor, but its window holds
@@ -939,12 +965,22 @@ def test_sweep_matches_reference(values, cfg, pinned, data):
         assert _solve_outcome(values, cfg, card1) == expected
 
 
-@pytest.mark.parametrize("cfg", ALL_STRATEGIES, ids=lambda c: c.init_strategy.value)
-def test_sweep_matches_reference_at_4096(cfg):
-    # one seeded solve per init; the gap reject runs 1279-3174 times in the
-    # alternating, random and greedy descents, once in split's one sweep
+def _two_decimals(rng):
+    # as tie-dense as two-decimal floats in [0, 1000] at 2^17: 2258 distinct
+    return rng.randint(0, 3000) / 100
+
+
+@pytest.mark.parametrize("cfg, draw", [
+    pytest.param(cfg, draw, id=cfg.init_strategy.value + suffix)
+    for draw, suffix in ((lambda rng: rng.randint(1, 10**9), ""), (_two_decimals, "-two_decimals"))
+    for cfg in ALL_STRATEGIES])
+def test_sweep_matches_reference_at_4096(cfg, draw):
+    # one seeded solve per init.  On ints the gap reject runs 1279-3174
+    # times in the alternating, random and greedy descents, once in split's
+    # one sweep; on two-decimal floats it rejects a cursor above a tied
+    # floor 63-865 times per init
     rng = random.Random(4096)
-    values = [rng.randint(1, 10**9) for _ in range(4096)]
+    values = [draw(rng) for _ in range(4096)]
     cfg = SolverConfig(cfg.init_strategy, cfg.seed, collect_trace=True)
     with mock.patch.object(core, "run_traverse", linear_scan_sweep):
         expected = _solve_outcome(values, cfg, None)
