@@ -140,7 +140,7 @@ class Instance(_Frozen):
     def __init__(self, values: tuple, mode: Mode):
         # Bulk checks first; the loops only run to name the first bad value.
         if mode is Mode.EXACT_INT:
-            if not set(map(type, values)) <= {int}:
+            if operator.countOf(map(type, values), int) != len(values):
                 for x in values:
                     if not isinstance(x, int) or isinstance(x, bool):
                         raise OverflowGuardError(
@@ -535,13 +535,13 @@ def run_traverse(
 
     Only cursors that can swap pay for a visit: the sweep jumps between
     larger-side cursors with list.index and counts the skipped ones in bulk
-    (all N at once when d == 0).  After the tie walk, a cursor whose window
-    is empty, or whose gap values[n] - values[n-1] is at least e, cannot
-    swap: every candidate, the tie member too, is at most values[n-1], so
-    each gives e' <= e - 2*gap <= -e.  It becomes the floor in O(1) and
-    counts the n - lo evaluations of a scan that keeps no partner, except
-    an empty window above a tied floor: that visit goes on to the group
-    jump below, which pays on long groups of equal values.
+    (all N at once when d == 0).  After the tie walk, a cursor with an empty
+    window above an untied floor becomes the floor at no evaluation, as does
+    each larger-side cell right above it while the floor stays untied, in
+    one inner loop.  A cursor with gap values[n] - values[n-1] >= e cannot
+    swap (each candidate, the tie member too, gives e' <= e - 2*gap <= -e):
+    it becomes the floor in O(1), counting the n - lo evaluations of a scan
+    that keeps no partner.  A tied floor's empty window goes to the jump below.
 
     Runs of O(1) accepts are taken in bulk (_take_run).  Let the floor have
     no tie group, and the next larger-side cursor c take p = floor + 1 with
@@ -616,9 +616,16 @@ def run_traverse(
                 evals += 1
             if tie < floor:
                 lo = floor
-        if lo == n and not tied or values[n] - values[n - 1] >= e:
-            # an empty window (a tied floor's goes on to the group jump), or
-            # one whose top gives e' <= -e
+        if lo == n and not tied:
+            # an empty window (a tied floor's goes on to the group jump);
+            # so is each larger-side cell right above an untied floor.  The
+            # walk may stop early, never late: at n = 0, values[-1] is the
+            # top, and `is` fails on a membership of 0/1 ints
+            while n < top and in_set1[n + 1] is larger and values[n - 1] != values[n]:
+                n += 1
+            floor = n
+            continue
+        if values[n] - values[n - 1] >= e:  # every e' <= -e
             evals += n - lo
             floor = n
             continue

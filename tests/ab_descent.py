@@ -18,7 +18,10 @@ random.Random(N) and built by Instance.from_values (floats run in float
 mode), under the four inits (random with seed 1); and lib_split_verify's
 seed-1 pool: 8 inputs of N = 2048 from random.Random("lib_split_verify:1"),
 split init, reported as per-solve means.  All but the first family are
-tie-heavy.  The file has no test_ prefix, so pytest does not collect it.
+tie-heavy.  The pool runs twice: as descents, and as whole requests
+(request_ms) as perfbench's lib_split_verify makes them: Instance, solve
+with split init and is_locally_optimal_pairswap, which must say True.  The
+file has no test_ prefix, so pytest does not collect it.
 """
 
 import argparse
@@ -66,6 +69,19 @@ def descent(core, start):
     return elapsed, (tuple(getattr(metrics, c) for c in COUNTERS), state.in_set1, state.d)
 
 
+def request(core, values):
+    """(seconds, outcome) of one whole lib_split_verify request on values."""
+    cfg = core.SolverConfig(init_strategy=core.InitStrategy.SPLIT_HALF)
+    t0 = time.perf_counter()
+    report = core.solve(core.Instance(values, core.Mode.EXACT_INT), cfg)
+    verdict = core.is_locally_optimal_pairswap(report.partition)
+    elapsed = time.perf_counter() - t0
+    assert verdict, "is_locally_optimal_pairswap rejected the output"
+    metrics = report.metrics
+    return elapsed, (tuple(getattr(metrics, c) for c in COUNTERS), report.membership,
+                     report.partition.d)
+
+
 def run_swaps(core, start):
     """Swaps the change takes inside _take_run, on an untimed descent."""
     taken = [0]
@@ -84,8 +100,9 @@ def run_swaps(core, start):
     return taken[0]
 
 
-def cell(sides, starts, rounds, reps):
-    """Per-solve mean of each round's best descents, and the outcomes."""
+def cell(sides, starts, rounds, reps, run):
+    """Per-solve mean of each round's best runs (descent or request), and
+    the outcomes."""
     bests = {name: [] for name in sides}
     outcomes = None
     for r in range(rounds):
@@ -94,7 +111,7 @@ def cell(sides, starts, rounds, reps):
         for name in order:
             total = 0.0
             for i, start in enumerate(starts):
-                runs = [descent(sides[name], start) for _ in range(reps)]
+                runs = [run(sides[name], start) for _ in range(reps)]
                 total += min(t for t, _ in runs)
                 seen.setdefault(name, []).append(runs[0][1])
             bests[name].append(1e3 * total / len(starts))
@@ -127,26 +144,28 @@ def main(argv=None):
         for family, draw in FAMILIES.items():
             values = draw(random.Random(n), n)
             for init in INITS:
-                grid.append((n, family, init, [start(values, init)], rounds, reps))
+                grid.append((n, family, init, [start(values, init)], rounds, reps, descent))
     rng = random.Random("lib_split_verify:1")
     pool = [[rng.randint(1, 10**9) for _ in range(2048)] for _ in range(8)]
     grid.append((2048, "lib_split_verify's seed-1 pool", "split",
-                 [start(v, "split") for v in pool], 15, 5))
+                 [start(v, "split") for v in pool], 15, 5, descent))
+    grid.append((2048, "lib_split_verify's seed-1 pool", "split",
+                 [tuple(v) for v in pool], 15, 5, request))
 
     cells = []
-    for n, family, init, starts, rounds, reps in grid:
-        bests, outcomes = cell(sides, starts, rounds, reps)
+    for n, family, init, starts, rounds, reps, run in grid:
+        bests, outcomes = cell(sides, starts, rounds, reps, run)
         ms = {name: {"min": round(min(b), 4), "median": round(statistics.median(b), 4)}
               for name, b in bests.items()}
         counters = [sum(o[0][i] for o in outcomes) / len(outcomes) for i in range(len(COUNTERS))]
         row = {
-            "n": n, "input": family, "init": init, "descent_ms": ms,
+            "n": n, "input": family, "init": init, f"{run.__name__}_ms": ms,
             "change_over_parent_min": round(ms["change"]["min"] / ms["parent"]["min"], 3),
             "change_over_parent_median": round(ms["change"]["median"] / ms["parent"]["median"], 3),
             "counters_match": True,
             "counters": dict(zip(COUNTERS, (c if c % 1 else int(c) for c in counters))),
         }
-        if hasattr(sides["change"], "_take_run"):
+        if hasattr(sides["change"], "_take_run") and run is descent:
             row["run_swaps"] = sum(run_swaps(sides["change"], s) for s in starts) / len(starts)
         cells.append(row)
         print(json.dumps(row), flush=True)

@@ -109,6 +109,22 @@ def test_instance_int_validation_names_first_bad_value():
         Instance((10**5000,), Mode.FLOAT64)
 
 
+class _Int(int):
+    pass
+
+
+@pytest.mark.parametrize("bad, shown", [
+    (False, "False"), (True, "True"), (2.0, "2.0"), ("3", "'3'"), (None, "None")])
+def test_instance_int_check_counts_exact_ints(bad, shown):
+    # the bulk check counts values of type int; anything else goes on to the
+    # loop, which refuses bools, floats, strs and None and keeps int subclasses
+    with pytest.raises(OverflowGuardError,
+                       match=f"^exact-integer mode requires int values, got {shown}$"):
+        Instance((1, bad, 2), Mode.EXACT_INT)
+    for values in ((), (_Int(5),), (1, _Int(-3), _Small.TWO)):
+        assert Instance(values, Mode.EXACT_INT).values == values
+
+
 def test_instance_float_validation_names_first_bad_value():
     assert Instance((1, 2.5, True), Mode.FLOAT64).values == (1.0, 2.5, 1.0)
     assert all(type(x) is float for x in Instance((1, _Small.TWO), Mode.FLOAT64).values)
@@ -946,6 +962,19 @@ def _block_membership(data, n):
     st.booleans(),
     st.data(),
 )
+# given block starts (a list is the sorted membership) at the edges of the
+# walk over empty windows: from cursor 0 over all-equal values, where it
+# reads values[-1]; to a tied third floor; to the top index; to a
+# smaller-side cell; each with d > 0 and with d < 0 at the walk; and a
+# membership of 0/1 ints, on which the walk's `is` stops at once
+@example([5] * 6, [True] * 4 + [False] * 2, False, None)
+@example([0, 1, 1, 1, 1, 1, 1, 2], [True] * 4 + [False] * 3 + [True], False, None)
+@example([0, 1, 1, 1, 1, 1, 1, 1], [False] * 4 + [True, False, False, True], False, None)
+@example([2, 3, 4, 4, 4, 5, 6, 7], [True, False, False, True, True, False, True, True], False, None)
+@example([1, 4, 4, 5, 5, 6, 7, 7], [False] * 3 + [True] * 3 + [False] * 2, False, None)
+@example([0, 0, 0, 1], [False, False, True, False], False, None)
+@example([0, 0, 0, 1], [True, True, False, True], False, None)
+@example([1, 4, 4, 5, 5, 6, 7, 7], [0, 0, 0, 1, 1, 1, 0, 0], False, None)
 @settings(max_examples=300, deadline=None)
 def test_sweep_matches_reference(values, cfg, pinned, data):
     # swap traces, memberships, final d, drift and every counter (or the
@@ -955,7 +984,9 @@ def test_sweep_matches_reference(values, cfg, pinned, data):
         values = values[:-1]
     start = contextlib.nullcontext()
     if cfg is None:
-        blocks = _block_membership(data, len(values))
+        cfg = _block_membership(data, len(values))
+    if isinstance(cfg, list):
+        blocks = cfg
         start = mock.patch.object(core, "_initial_membership", lambda *_: list(blocks))
         cfg = SolverConfig()
     cfg = SolverConfig(cfg.init_strategy, cfg.seed, collect_trace=True)
